@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, datasets, dendro, hier, metrics
-from .ikernel import IdkFeatures, IdkOps, IsolationModel
+from .ikernel import IdkOps, IsolationModel
 
 MANIFEST_FORMAT = "kernelhc-run-manifest"
 MANIFEST_VERSION = 1
@@ -70,20 +70,6 @@ def _out_dir(args) -> Path:
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _cap_threads(n):
-    if n is None:
-        return
-    if n < 1:
-        raise ValueError(f"--threads must be >= 1, got {n}")
-    os.environ.setdefault("OMP_NUM_THREADS", str(n))
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass  # numpy may still honor the env var set above
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +215,9 @@ def cmd_eval(args) -> int:
             raise ValueError("--in and --model are required for tsc")
         ds = datasets.load_csv(args.infile, label_column=args.label_col)
         model = IsolationModel.load(args.model)
-        feats = IdkFeatures.fit(model, ds.points)
-        report["tsc"] = dendro.tsc(tree, feats)
-        report["tsc_local"] = dendro.tsc_local(tree, feats)
+        ops = IdkOps.fit(model, ds.points)
+        report["tsc"] = dendro.tsc(tree, ops)
+        report["tsc_local"] = dendro.tsc_local(tree, ops)
 
     width = max(len(k) for k in report)
     for key, val in report.items():
@@ -423,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--no-refine", action="store_true")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out-dir", default=None)
-    c.add_argument("--threads", type=int, default=None)
     c.set_defaults(func=cmd_cluster)
 
     e = sub.add_parser("eval", help="score a saved dendrogram")
@@ -460,8 +445,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "threads", None) is not None:
-            _cap_threads(args.threads)
         return args.func(args)
     except (ValueError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ikernel import DistributionEmbedding
-
 TREE_FORMAT = "kernelhc-dendrogram"
 TREE_VERSION = 1
 
@@ -222,22 +220,25 @@ def topology_equal(a: Dendrogram, b: Dendrogram) -> bool:
 # Total similarity of all clusters
 # ---------------------------------------------------------------------------
 
-def tsc(tree: Dendrogram, feats) -> float:
+def total_similarity(ops, groups) -> float:
+    """Total similarity of all clusters: sum over the groups S of
+    |S| * K(P_S, P_S), which equals the sum over every member x of its
+    similarity to its own group's distribution. ``ops`` is a kernel backend
+    (ikernel.IdkOps / GdkOps) and ``groups`` lists row-index arrays; empty
+    groups contribute nothing."""
+    return sum(len(g) * ops.set_similarity(g, g) for g in groups if len(g))
+
+
+def tsc(tree: Dendrogram, ops) -> float:
     """Sum over leaves of each point's similarity to its own leaf."""
     if not tree.is_finalized:
         raise ValueError("tree must be finalized before computing the objective")
-    total = 0.0
-    for leaf in tree.leaves():
-        if len(leaf.points) == 0:
-            continue
-        emb = feats.mean_embedding(leaf.points)
-        total += float(feats.similarities(emb, rows=leaf.points).sum())
-    return total
+    return total_similarity(ops, [leaf.points for leaf in tree.leaves()])
 
 
-def tsc_local(tree: Dendrogram, feats) -> float:
+def tsc_local(tree: Dendrogram, ops) -> float:
     """Size-normalized objective: tsc divided by the number of points."""
-    return tsc(tree, feats) / tree.n_points
+    return tsc(tree, ops) / tree.n_points
 
 
 @dataclass
@@ -281,28 +282,26 @@ def contract(tree: Dendrogram, leaf_a: int, leaf_b: int) -> Dendrogram:
     )
 
 
-def contraction_trace(tree: Dendrogram, feats, stop_at: int = 1) -> list:
+def contraction_trace(tree: Dendrogram, ops, stop_at: int = 1) -> list:
     """Replay the canonical contraction sequence down to ``stop_at`` leaves.
 
     Returns one ContractionStep per contraction, carrying the sibling
-    embedding gap and the objective on both sides of the merge. Leaf
-    embeddings are maintained incrementally through the size-weighted mean
-    identity, so the whole sweep costs one extra similarity pass per merge.
+    embedding gap and the objective on both sides of the merge. ``ops`` must
+    give finite mean embeddings as group states (ikernel.IdkOps). Everything
+    after the leaf embeddings is vector algebra: a merged leaf's embedding is
+    the size-weighted mean of its children's, and a leaf of m points with
+    embedding mu adds m * |mu|^2 to the objective.
     """
     if not tree.is_finalized:
         raise ValueError("tree must be finalized")
     n = tree.n_points
     leaves = tree.leaves()
-    state = {}
+    state = {}  # node id -> (size, embedding, objective term)
     for leaf in leaves:
-        if len(leaf.points):
-            emb = feats.mean_embedding(leaf.points).values
-            sim_sum = float(feats.similarities(
-                feats.mean_embedding(leaf.points), rows=leaf.points).sum())
-        else:
-            emb = np.zeros(feats.dim)
-            sim_sum = 0.0
-        state[leaf.id] = (leaf.points, emb, sim_sum)
+        m = len(leaf.points)
+        # the scalar 0.0 stands in for an empty leaf's zero embedding
+        emb = ops.group_state(leaf.points) if m else 0.0
+        state[leaf.id] = (m, emb, m * float(np.dot(emb, emb)))
 
     steps = []
     tsc_sum = sum(v[2] for v in state.values())
@@ -311,23 +310,16 @@ def contraction_trace(tree: Dendrogram, feats, stop_at: int = 1) -> list:
         if q <= stop_at:
             break
         node = tree.nodes[nid]
-        pts1, emb1, sum1 = state.pop(node.left)
-        pts2, emb2, sum2 = state.pop(node.right)
+        n1, emb1, term1 = state.pop(node.left)
+        n2, emb2, term2 = state.pop(node.right)
         alpha = float(np.linalg.norm(emb1 - emb2))
-        n1, n2 = len(pts1), len(pts2)
-        pts = np.sort(np.concatenate([pts1, pts2]))
-        if n1 + n2 > 0:
-            emb = (n1 * emb1 + n2 * emb2) / (n1 + n2)
-            merged_sum = float(
-                feats.similarities(DistributionEmbedding(emb, n1 + n2), rows=pts).sum()
-            )
-        else:
-            emb = np.zeros(feats.dim)
-            merged_sum = 0.0
+        m = n1 + n2
+        emb = (n1 * emb1 + n2 * emb2) / m if m else emb1
+        term = m * float(np.dot(emb, emb))
         before = tsc_sum / n
-        tsc_sum = tsc_sum - sum1 - sum2 + merged_sum
+        tsc_sum = tsc_sum - term1 - term2 + term
         after = tsc_sum / n
-        state[nid] = (pts, emb, merged_sum)
+        state[nid] = (m, emb, term)
         q -= 1
         steps.append(
             ContractionStep(
@@ -341,20 +333,20 @@ def contraction_trace(tree: Dendrogram, feats, stop_at: int = 1) -> list:
     return steps
 
 
-def tsc_global_p(tree: Dendrogram, p: int, feats) -> float:
+def tsc_global_p(tree: Dendrogram, p: int, ops) -> float:
     """Average of the size-normalized objective over the sub-trees with
     p..k leaves obtained by replaying the contraction sequence."""
     k = tree.k
     if not 1 <= p <= k:
         raise ValueError(f"p must be in [1, {k}], got {p}")
-    steps = contraction_trace(tree, feats, stop_at=p)
-    values = [tsc_local(tree, feats)] + [s.tsc_local_after for s in steps]
+    steps = contraction_trace(tree, ops, stop_at=p)
+    values = [tsc_local(tree, ops)] + [s.tsc_local_after for s in steps]
     return float(np.mean(values))
 
 
-def annotate_alphas(tree: Dendrogram, feats) -> Dendrogram:
+def annotate_alphas(tree: Dendrogram, ops) -> Dendrogram:
     """Store each split's sibling embedding gap on its internal node."""
-    for step in contraction_trace(tree, feats):
+    for step in contraction_trace(tree, ops):
         tree.nodes[step.node_id].alpha = step.alpha
     return tree
 
@@ -424,50 +416,35 @@ def single_linkage_tree(M: np.ndarray) -> Dendrogram:
     are broken toward the pair with the smallest member ids. The returned
     tree's contraction order replays the merges first-to-last.
     """
-    M = np.asarray(M, dtype=np.float64)
-    k = M.shape[0]
+    link = np.array(M, dtype=np.float64)  # rows and columns indexed by rep
+    k = link.shape[0]
     if k < 2:
         raise ValueError("need at least 2 units to agglomerate")
+    np.fill_diagonal(link, -np.inf)
 
-    nodes = {}
-    next_id = 0
-    active = {}  # rep (= min member id) -> node id
-    link = {}  # frozenset({rep_a, rep_b}) -> max base similarity
-    for i in range(k):
-        nodes[next_id] = Node(id=next_id, cluster_ids=(i,))
-        active[i] = next_id
-        next_id += 1
-    for i in range(k):
-        for j in range(i + 1, k):
-            link[frozenset((i, j))] = float(M[i, j])
-
+    # A node's rep is its smallest member id; the merged node keeps the
+    # smaller rep and retired reps get -inf links. The matrix is symmetric,
+    # so its first maximum in row-major order is the tied pair with the
+    # smallest rep, then the smallest partner.
+    nodes = {i: Node(id=i, cluster_ids=(i,)) for i in range(k)}
+    node_of = list(range(k))  # rep -> node id
     merge_order = []
-    while len(active) > 1:
-        reps = sorted(active)
-        best = None
-        for ai, ra in enumerate(reps):
-            for rb in reps[ai + 1:]:
-                val = link[frozenset((ra, rb))]
-                if best is None or val > best[0]:
-                    best = (val, ra, rb)
-        _, ra, rb = best
-        na, nb = active.pop(ra), active.pop(rb)
-        parent = Node(
-            id=next_id,
+    for nid in range(k, 2 * k - 1):
+        ra, rb = divmod(int(np.argmax(link)), k)
+        na, nb = node_of[ra], node_of[rb]
+        nodes[nid] = Node(
+            id=nid,
             cluster_ids=tuple(sorted(nodes[na].cluster_ids + nodes[nb].cluster_ids)),
             left=na,
             right=nb,
         )
-        nodes[na].parent = parent.id
-        nodes[nb].parent = parent.id
-        nodes[next_id] = parent
-        merge_order.append(next_id)
-        for rc in list(active):
-            link[frozenset((ra, rc))] = max(
-                link.pop(frozenset((ra, rc))), link.pop(frozenset((rb, rc)))
-            )
-        active[ra] = next_id
-        next_id += 1
+        nodes[na].parent = nodes[nb].parent = nid
+        merge_order.append(nid)
+        link[ra] = np.maximum(link[ra], link[rb])
+        link[:, ra] = link[ra]
+        link[ra, ra] = -np.inf
+        link[rb] = link[:, rb] = -np.inf
+        node_of[ra] = nid
 
     return Dendrogram(
         nodes=nodes,

@@ -23,7 +23,6 @@ import numpy as np
 from . import corecluster, dendro
 from .ikernel import (
     GdkOps,
-    IdkFeatures,
     IdkOps,
     IsolationModel,
     fit_isolation_model,
@@ -86,7 +85,7 @@ class RunResult:
     timings: dict
     config: RunConfig
     model: IsolationModel | None = None
-    feats: IdkFeatures | None = None
+    feats: IdkOps | None = None  # isolation-kernel feature matrix of the data
 
 
 def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
@@ -133,7 +132,8 @@ def assign_points(ops, cores: corecluster.CoreClusterSet):
     every cluster land in cluster 0 and are counted as orphans.
     """
     scores = np.column_stack(
-        [ops.point_to_set(cores.full_rows(j)) for j in range(cores.k)]
+        [ops.point_to_state(ops.group_state(cores.full_rows(j)))
+         for j in range(cores.k)]
     )
     labels = scores.argmax(axis=1)
     orphans = int((scores.max(axis=1) == 0.0).sum())
@@ -177,25 +177,19 @@ def refine(ops, cores: corecluster.CoreClusterSet, labels: np.ndarray,
 def assignment_tsc_local(ops, labels: np.ndarray, k: int) -> float:
     """Mean similarity of points to their own cluster's distribution."""
     labels = np.asarray(labels)
-    total = 0.0
-    for j in range(k):
-        rows = np.nonzero(labels == j)[0]
-        if len(rows) == 0:
-            continue
-        total += float(ops.point_to_state(ops.group_state(rows))[rows].sum())
-    return total / len(labels)
+    groups = [np.nonzero(labels == j)[0] for j in range(k)]
+    return dendro.total_similarity(ops, groups) / len(labels)
 
 
 def make_ops(data: np.ndarray, config: RunConfig, model_seed: int):
-    """Build the kernel backend for a dataset; returns (model, feats, ops)."""
+    """Build the kernel backend for a dataset; returns (model, ops)."""
     if config.kernel == "idk":
         model = fit_isolation_model(data, config.psi, config.t, model_seed)
-        feats = IdkFeatures.fit(model, data)
-        return model, feats, IdkOps(feats)
+        return model, IdkOps.fit(model, data)
     bw = config.bandwidth
     if bw is None:
         bw = median_heuristic_bandwidth(data, seed=model_seed)
-    return None, None, GdkOps(data, bw)
+    return None, GdkOps(data, bw)
 
 
 def run(data: np.ndarray, config: RunConfig) -> RunResult:
@@ -209,7 +203,7 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
     warnings = []
 
     t0 = time.perf_counter()
-    model, feats, ops = make_ops(data, config, int(seeds[0]))
+    model, ops = make_ops(data, config, int(seeds[0]))
     timings["fit"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -274,5 +268,5 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
         timings=timings,
         config=config,
         model=model,
-        feats=feats,
+        feats=ops if isinstance(ops, IdkOps) else None,
     )

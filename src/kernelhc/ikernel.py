@@ -12,7 +12,7 @@ between two point sets equals the inner product of their mean feature maps,
 which is what makes set-to-set and point-to-set comparisons cheap.
 
 Everything here is deterministic given (data, psi, t, seed) and immutable
-after construction, so models and feature tables can be shared freely.
+after construction, so models and feature matrices can be shared freely.
 """
 
 from __future__ import annotations
@@ -142,166 +142,6 @@ def fit_isolation_model(data: np.ndarray, psi: int, t: int, seed: int) -> Isolat
     return IsolationModel(centers=centers, radii=radii, psi=psi, t=t, seed=seed)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse feature map of one point: <= t nonzeros, each 1/sqrt(t)."""
-
-    indices: np.ndarray  # sorted flat positions in [0, dim)
-    dim: int
-    t: int
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / math.sqrt(self.t)
-
-    @property
-    def norm_sq(self) -> float:
-        """Equals (#partitionings covering the point) / t, always <= 1."""
-        return len(self.indices) / self.t
-
-    def to_dense(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[self.indices] = self.weight
-        return v
-
-
-@dataclass(frozen=True)
-class DistributionEmbedding:
-    """Mean feature map of a point set; dense, nonnegative, norm <= 1."""
-
-    values: np.ndarray
-    support_size: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.values)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
-
-def embed_point(model: IsolationModel, x: np.ndarray) -> FeatureVector:
-    """Feature map of a single point under the fitted partitionings."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features_in,):
-        raise ValueError(
-            f"expected a vector of dimension {model.n_features_in}, got shape {x.shape}"
-        )
-    cells = model.transform(x[None, :])[0]
-    blocks = np.nonzero(cells >= 0)[0]
-    flat = blocks * model.psi + cells[blocks]
-    return FeatureVector(indices=flat.astype(np.int64), dim=model.dim, t=model.t)
-
-
-def embed_distribution(model: IsolationModel, points: np.ndarray) -> DistributionEmbedding:
-    """Kernel mean map: componentwise average of the member feature maps."""
-    points = _check_matrix(points, "points")
-    if points.shape[0] == 0:
-        raise ValueError("cannot embed an empty point set")
-    cells = model.transform(points)
-    return embedding_from_cells(cells, model.psi)
-
-
-def embedding_from_cells(cells: np.ndarray, psi: int) -> DistributionEmbedding:
-    """Mean feature map from precomputed cell indices, shape (m, t)."""
-    m, t = cells.shape
-    if m == 0:
-        raise ValueError("cannot embed an empty point set")
-    mask = cells >= 0
-    blocks = np.broadcast_to(np.arange(t), cells.shape)
-    flat = (blocks * psi + cells)[mask]
-    counts = np.bincount(flat, minlength=t * psi)
-    values = counts / (m * math.sqrt(t))
-    return DistributionEmbedding(values=values, support_size=m)
-
-
-def kernel_dist_dist(a: DistributionEmbedding, b: DistributionEmbedding) -> float:
-    """Similarity of two distributions: inner product of their embeddings.
-
-    Identical (up to rounding) to the mean pairwise point-kernel value over
-    the two supporting sets.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"embedding dimensions differ: {a.dim} vs {b.dim}")
-    return float(a.values @ b.values)
-
-
-def kernel_point_dist(model: IsolationModel, x: np.ndarray, emb: DistributionEmbedding) -> float:
-    """Similarity between a single point and a distribution embedding."""
-    fv = embed_point(model, x)
-    if emb.dim != fv.dim:
-        raise ValueError(f"embedding dimension {emb.dim} does not match model dim {fv.dim}")
-    return float(emb.values[fv.indices].sum() * fv.weight)
-
-
-class IdkFeatures:
-    """Per-point cell indices for a whole dataset, plus batch kernel ops.
-
-    Stores the sparse feature maps of n points as an (n, t) int32 table
-    (entry -1 = not covered). All heavy pipeline math runs through this:
-    group embeddings, point-to-group similarity for every point at once,
-    and pairwise point kernels.
-    """
-
-    def __init__(self, cells: np.ndarray, psi: int):
-        cells = np.asarray(cells, dtype=np.int32)
-        if cells.ndim != 2:
-            raise ValueError("cells must be 2-D (n, t)")
-        self.cells = cells
-        self.psi = int(psi)
-
-    @classmethod
-    def fit(cls, model: IsolationModel, X: np.ndarray) -> "IdkFeatures":
-        return cls(model.transform(X), model.psi)
-
-    @property
-    def n(self) -> int:
-        return self.cells.shape[0]
-
-    @property
-    def t(self) -> int:
-        return self.cells.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.t * self.psi
-
-    def take(self, rows: np.ndarray) -> "IdkFeatures":
-        return IdkFeatures(self.cells[np.asarray(rows)], self.psi)
-
-    def mean_embedding(self, rows=None) -> DistributionEmbedding:
-        cells = self.cells if rows is None else self.cells[np.asarray(rows)]
-        return embedding_from_cells(cells, self.psi)
-
-    def similarities(self, emb: DistributionEmbedding, rows=None) -> np.ndarray:
-        """Point-to-distribution similarity for each stored point."""
-        if emb.dim != self.dim:
-            raise ValueError(f"embedding dimension {emb.dim} does not match {self.dim}")
-        cells = self.cells if rows is None else self.cells[np.asarray(rows)]
-        emb2d = emb.values.reshape(self.t, self.psi)
-        idx = np.where(cells >= 0, cells, 0)
-        vals = emb2d[np.arange(self.t)[None, :], idx]
-        vals = vals * (cells >= 0)
-        return vals.sum(axis=1) / math.sqrt(self.t)
-
-    def point_kernel_row(self, i: int) -> np.ndarray:
-        """Point kernel between point i and every stored point."""
-        ci = self.cells[i]
-        same = (self.cells == ci[None, :]) & (ci[None, :] >= 0)
-        return same.sum(axis=1) / self.t
-
-    def pairwise(self) -> np.ndarray:
-        """Dense (n, n) point-kernel matrix via a sparse one-hot product."""
-        mask = self.cells >= 0
-        ri, ti = np.nonzero(mask)
-        cols = ti * self.psi + self.cells[ri, ti]
-        one_hot = sparse.csr_matrix(
-            (np.ones(len(ri)), (ri, cols)), shape=(self.n, self.dim)
-        )
-        return np.asarray((one_hot @ one_hot.T).todense()) / self.t
-
-
 # ---------------------------------------------------------------------------
 # Gaussian distributional kernel (ablation reference)
 # ---------------------------------------------------------------------------
@@ -341,36 +181,72 @@ def median_heuristic_bandwidth(X: np.ndarray, max_points: int = 1000, seed: int 
 # ---------------------------------------------------------------------------
 
 class IdkOps:
-    """Isolation-kernel backend over a fixed dataset."""
+    """Isolation-kernel backend: the feature matrix Phi of a fixed dataset.
 
-    def __init__(self, feats: IdkFeatures):
-        self.feats = feats
+    Row i of Phi (n x t*psi, CSR) is point i's feature map: 1/sqrt(t) in
+    column j*psi + c for every partitioning j whose cell c covers the point.
+    ``onehot`` stores sqrt(t) * Phi, the 0/1 cell-incidence matrix, and each
+    query applies the weight once. Point kernels then come out as exact
+    fractions (shared cells) / t, so a threshold such as ``eps_sim = 0.3`` at
+    t = 200 admits a pair sharing 60 cells; summing 60 products
+    (1/sqrt(200))**2 gives 0.29999999999999993 instead.
+
+    The kernel mean map of a group is the mean of its rows, and every
+    similarity is an inner product of rows and means (Ting et al., KDD 2020).
+    """
+
+    def __init__(self, onehot: sparse.csr_matrix, t: int):
+        self.onehot = onehot
+        self.t = int(t)
+
+    @classmethod
+    def fit(cls, model: IsolationModel, X: np.ndarray) -> "IdkOps":
+        """Feature matrix of the points X under a fitted model."""
+        cells = model.transform(X)
+        n, t = cells.shape
+        covered = cells >= 0
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(covered.sum(axis=1), out=indptr[1:])
+        # row-major order keeps each row's columns sorted by partitioning
+        indices = (cells + np.arange(t, dtype=np.int32) * model.psi)[covered]
+        onehot = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+                                   shape=(n, model.dim))
+        return cls(onehot, t)
 
     @property
     def n(self) -> int:
-        return self.feats.n
+        return self.onehot.shape[0]
 
     def take(self, rows: np.ndarray) -> "IdkOps":
-        return IdkOps(self.feats.take(rows))
+        return IdkOps(self.onehot[np.asarray(rows)], self.t)
 
     def group_state(self, rows: np.ndarray) -> np.ndarray:
-        return self.feats.mean_embedding(rows).values
+        """Mean of the rows of Phi: the group's kernel mean map."""
+        rows = np.asarray(rows)
+        if len(rows) == 0:
+            raise ValueError("cannot embed an empty point set")
+        counts = np.bincount(self.onehot[rows].indices, minlength=self.onehot.shape[1])
+        return counts / (len(rows) * math.sqrt(self.t))
 
     def point_to_state(self, state: np.ndarray) -> np.ndarray:
-        emb = DistributionEmbedding(values=state, support_size=0)
-        return self.feats.similarities(emb)
-
-    def point_to_set(self, rows: np.ndarray) -> np.ndarray:
-        return self.point_to_state(self.group_state(rows))
+        """Phi @ state: every point's similarity to one group."""
+        return (self.onehot @ state) / math.sqrt(self.t)
 
     def set_similarity(self, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
         return float(self.group_state(rows_a) @ self.group_state(rows_b))
 
     def point_row(self, i: int) -> np.ndarray:
-        return self.feats.point_kernel_row(i)
+        """Phi Phi_i^T: point kernel between point i and every point."""
+        shared = self.onehot @ self.onehot[i].T
+        return shared.toarray().ravel() / self.t
 
     def pairwise(self) -> np.ndarray:
-        return self.feats.pairwise()
+        """Phi Phi^T as a dense (n, n) point-kernel matrix."""
+        return (self.onehot @ self.onehot.T).toarray() / self.t
+
+
+# Largest number of Gaussian kernel values one GdkOps query holds at once.
+GDK_BLOCK = 1 << 20
 
 
 class GdkOps:
@@ -393,17 +269,22 @@ class GdkOps:
         sq = cdist(A, B, "sqeuclidean")
         return np.exp(-sq / (2.0 * self.bandwidth**2))
 
+    def _row_means(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """Mean kernel value of each row of A against all of B, computed in
+        row blocks of at most GDK_BLOCK kernel values."""
+        step = max(1, GDK_BLOCK // len(B))
+        return np.concatenate([self._rbf(A[i:i + step], B).mean(axis=1)
+                               for i in range(0, len(A), step)])
+
     def group_state(self, rows: np.ndarray) -> np.ndarray:
         return np.asarray(rows, dtype=np.int64)
 
     def point_to_state(self, state: np.ndarray) -> np.ndarray:
-        return self._rbf(self.X, self.X[state]).mean(axis=1)
-
-    def point_to_set(self, rows: np.ndarray) -> np.ndarray:
-        return self.point_to_state(self.group_state(rows))
+        return self._row_means(self.X, self.X[state])
 
     def set_similarity(self, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
-        return float(self._rbf(self.X[np.asarray(rows_a)], self.X[np.asarray(rows_b)]).mean())
+        return float(self._row_means(self.X[np.asarray(rows_a)],
+                                     self.X[np.asarray(rows_b)]).mean())
 
     def point_row(self, i: int) -> np.ndarray:
         return self._rbf(self.X, self.X[i][None, :])[:, 0]

@@ -21,7 +21,6 @@ from kernelhc import (
 )
 from kernelhc.datasets import PAPER_ANALOG_TUNED, paper_analog
 from kernelhc.dendro import ahc_build
-from kernelhc.ikernel import IdkOps
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +56,7 @@ class TestLinkageThreshold:
     def test_splits_stay_under_tau_and_agglomeration_agrees(self, analog, tuned_run):
         # rebuild the subset kernel backend from the run's own artifacts
         cores = tuned_run.cores
-        ops_sub = IdkOps(tuned_run.feats.take(cores.subset_indices))
+        ops_sub = tuned_run.feats.take(cores.subset_indices)
         tau = PAPER_ANALOG_TUNED["tau"]
         k = cores.k
         M = np.zeros((k, k))

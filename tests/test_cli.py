@@ -126,9 +126,6 @@ class TestCluster:
             main(cluster_args(blob_csv, tmp_path / "o", "--algo", "wrong"))
         assert exc.value.code == 2
 
-    def test_threads_flag_accepted(self, blob_csv, tmp_path):
-        assert main(cluster_args(blob_csv, tmp_path / "thr", "--threads", "1")) == 0
-
 
 class TestEval:
     def test_metrics_from_saved_tree(self, blob_csv, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from kernelhc import (
     CoreClusterSet,
-    IdkFeatures,
+    IdkOps,
     fit_isolation_model,
     ik_dbscan_cores,
     kmeans_cores,
@@ -11,14 +11,13 @@ from kernelhc import (
     select_subset,
 )
 from kernelhc.hier import assign_points
-from kernelhc.ikernel import IdkOps
 
 from conftest import oracle_point_vector, rng_data, two_blobs
 
 
 def blob_ops(X, psi=4, t=60, seed=5):
     model = fit_isolation_model(X, psi=psi, t=t, seed=seed)
-    return model, IdkOps(IdkFeatures.fit(model, X))
+    return model, IdkOps.fit(model, X)
 
 
 def oracle_growth(model, X, k, tau, rho):
@@ -143,8 +142,7 @@ class TestKpskc:
         labels_full, _ = assign_points(ops, cores)
         kept = np.setdiff1d(np.arange(len(X)), cores.noise)
         X2 = X[kept]
-        feats2 = IdkFeatures(ops.feats.cells[kept], ops.feats.psi)
-        ops2 = IdkOps(feats2)
+        ops2 = ops.take(kept)
         remap = -np.ones(len(X), dtype=int)
         remap[kept] = np.arange(len(kept))
         cores2 = CoreClusterSet(

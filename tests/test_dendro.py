@@ -3,7 +3,7 @@ import pytest
 
 from kernelhc import (
     Dendrogram,
-    IdkFeatures,
+    IdkOps,
     ahc_build,
     contract,
     dendrogram_purity,
@@ -16,14 +16,20 @@ from kernelhc import (
 )
 from kernelhc.baseline import _to_dendrogram
 from kernelhc.dendro import contraction_trace, leaf_labels, single_linkage_tree
-from kernelhc.ikernel import IdkOps
 
-from conftest import oracle_mean_pairwise, oracle_purity, rng_data, two_blobs
+from conftest import (
+    oracle_mean_pairwise,
+    oracle_point_kernel,
+    oracle_point_vector,
+    oracle_purity,
+    rng_data,
+    two_blobs,
+)
 
 
-def make_feats(X, psi=5, t=30, seed=2):
+def fitted_ops(X, psi=5, t=30, seed=2):
     model = fit_isolation_model(X, psi=psi, t=t, seed=seed)
-    return model, IdkFeatures.fit(model, X)
+    return model, IdkOps.fit(model, X)
 
 
 def random_partition_tree(seed, n, k):
@@ -103,38 +109,37 @@ class TestStructure:
 class TestTsc:
     def test_singleton_leaves_attain_maximum(self):
         X = rng_data(1, n=8)
-        _, feats = make_feats(X)
+        model, ops = fitted_ops(X)
         fine = random_partition_tree(0, n=8, k=8)
-        value = tsc(fine, feats)
-        expected = sum(
-            feats.mean_embedding([i]).norm ** 2 for i in range(8))
+        value = tsc(fine, ops)
+        expected = sum(oracle_point_kernel(model, x, x) for x in X)
         assert value == pytest.approx(expected, abs=1e-12)
         for seed in range(4):
             coarser = random_partition_tree(seed, n=8, k=4)
-            assert tsc(coarser, feats) <= value + 1e-12
+            assert tsc(coarser, ops) <= value + 1e-12
 
     def test_merging_orthogonal_singletons_cannot_increase(self):
         X = np.array([[0.0, 0.0], [500.0, 500.0]])
-        model, feats = make_feats(np.vstack([rng_data(2, n=10), X]))
+        model, ops = fitted_ops(np.vstack([rng_data(2, n=10), X]))
         tree = random_partition_tree(1, n=12, k=12)
         node = tree.nodes[tree.contraction_order()[0]]
         merged = contract(tree, node.left, node.right)
-        assert tsc(merged, feats) <= tsc(tree, feats) + 1e-12
+        assert tsc(merged, ops) <= tsc(tree, ops) + 1e-12
 
     def test_single_leaf_matches_double_sum(self):
         X = rng_data(3, n=9)
-        model, feats = make_feats(X)
+        model, ops = fitted_ops(X)
         tree = Dendrogram.seed([0]).finalize(np.zeros(9, dtype=int))
-        assert tsc_local(tree, feats) == pytest.approx(
+        assert tsc_local(tree, ops) == pytest.approx(
             oracle_mean_pairwise(model, X, X), abs=1e-12)
 
     def test_unfinalized_rejected(self):
         X = rng_data(4, n=5)
-        _, feats = make_feats(X)
+        _, ops = fitted_ops(X)
         tree = Dendrogram.seed([0, 1])
         tree.split(tree.root, [0], [1])
         with pytest.raises(ValueError, match="finalized"):
-            tsc(tree, feats)
+            tsc(tree, ops)
 
 
 class TestContract:
@@ -142,15 +147,16 @@ class TestContract:
         # duplicated coordinates: the two leaves embed identically
         base = rng_data(6, n=5)
         X = np.vstack([base, base])
-        _, feats = make_feats(X)
+        model, _ = fitted_ops(X)
         tree = Dendrogram.seed([0, 1])
         tree.split(tree.root, [0], [1])
         labels = np.array([0] * 5 + [1] * 5)
         tree.finalize(labels)
         leaves = tree.leaves()
-        e1 = feats.mean_embedding(leaves[0].points).values
+        vecs = np.array([oracle_point_vector(model, x) for x in X])
+        e1 = vecs[leaves[0].points].mean(axis=0)
         merged = contract(tree, leaves[0].id, leaves[1].id)
-        e_merged = feats.mean_embedding(merged.leaves()[0].points).values
+        e_merged = vecs[merged.leaves()[0].points].mean(axis=0)
         assert np.allclose(e_merged, e1, atol=1e-15)
 
     def test_non_siblings_rejected(self):
@@ -168,9 +174,9 @@ class TestContract:
 
     def test_drop_bounded_by_embedding_gap(self):
         X = rng_data(9, n=30, spread=3.0)
-        _, feats = make_feats(X, psi=6)
+        _, ops = fitted_ops(X, psi=6)
         tree = random_partition_tree(2, n=30, k=6)
-        for step in contraction_trace(tree, feats):
+        for step in contraction_trace(tree, ops):
             assert step.tsc_local_after >= step.tsc_local_before - step.alpha - 1e-9
 
     def test_full_contraction_sequence_stays_valid(self):
@@ -188,38 +194,38 @@ class TestContract:
 class TestTscGlobal:
     def test_p_equals_k_is_tsc_local(self):
         X = rng_data(11, n=18)
-        _, feats = make_feats(X)
+        _, ops = fitted_ops(X)
         tree = random_partition_tree(3, n=18, k=5)
-        assert tsc_global_p(tree, 5, feats) == tsc_local(tree, feats)
+        assert tsc_global_p(tree, 5, ops) == tsc_local(tree, ops)
 
     def test_p_one_below_k_is_two_term_mean(self):
         X = rng_data(12, n=16)
-        _, feats = make_feats(X)
+        _, ops = fitted_ops(X)
         tree = random_partition_tree(4, n=16, k=4)
         nid = tree.contraction_order()[0]
         node = tree.nodes[nid]
         contracted = contract(tree, node.left, node.right)
-        expected = 0.5 * (tsc_local(tree, feats) + tsc_local(contracted, feats))
-        assert tsc_global_p(tree, 3, feats) == pytest.approx(expected, abs=1e-12)
+        expected = 0.5 * (tsc_local(tree, ops) + tsc_local(contracted, ops))
+        assert tsc_global_p(tree, 3, ops) == pytest.approx(expected, abs=1e-12)
 
     def test_out_of_range_rejected(self):
         X = rng_data(13, n=10)
-        _, feats = make_feats(X)
+        _, ops = fitted_ops(X)
         tree = random_partition_tree(5, n=10, k=3)
         for p in (0, 4):
             with pytest.raises(ValueError):
-                tsc_global_p(tree, p, feats)
+                tsc_global_p(tree, p, ops)
 
     def test_corollary_lower_bound(self):
         X = rng_data(14, n=24, spread=2.0)
-        _, feats = make_feats(X, psi=6)
+        _, ops = fitted_ops(X, psi=6)
         tree = random_partition_tree(6, n=24, k=6)
-        steps = contraction_trace(tree, feats)
+        steps = contraction_trace(tree, ops)
         alpha_max = max(s.alpha for s in steps)
-        base = tsc_local(tree, feats)
+        base = tsc_local(tree, ops)
         k = tree.k
         for p in range(1, k + 1):
-            assert tsc_global_p(tree, p, feats) >= base - (k - p) * alpha_max - 1e-9
+            assert tsc_global_p(tree, p, ops) >= base - (k - p) * alpha_max - 1e-9
 
 
 class TestPurity:
@@ -321,7 +327,7 @@ class TestAhc:
     def test_ahc_build_from_cores(self):
         X, _ = two_blobs(seed=19, n_per=15)
         model = fit_isolation_model(X, psi=4, t=40, seed=6)
-        ops = IdkOps(IdkFeatures.fit(model, X))
+        ops = IdkOps.fit(model, X)
         cores = kpskc(ops, k=2, tau=0.01, rho=0.1)
         tree = ahc_build(cores, ops)
         assert tree.k == 2

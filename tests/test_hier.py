@@ -3,7 +3,7 @@ import pytest
 
 from kernelhc import (
     CoreClusterSet,
-    IdkFeatures,
+    IdkOps,
     RunConfig,
     dendrogram_purity,
     fit_isolation_model,
@@ -13,14 +13,13 @@ from kernelhc import (
 )
 from kernelhc.dendro import ahc_build
 from kernelhc.hier import assign_points, assignment_tsc_local, build_tree, refine
-from kernelhc.ikernel import IdkOps
 
 from conftest import oracle_mean_pairwise, two_blobs
 
 
 def fitted_ops(X, psi=4, t=60, seed=5):
     model = fit_isolation_model(X, psi=psi, t=t, seed=seed)
-    return model, IdkOps(IdkFeatures.fit(model, X))
+    return model, IdkOps.fit(model, X)
 
 
 def cores_from_lists(lists, n):
@@ -124,7 +123,7 @@ class TestAssignPoints:
         X, _ = two_blobs(seed=27, n_per=10)
         X = np.vstack([X, [[9e5, -9e5]]])
         model = fit_isolation_model(X[:20], psi=4, t=40, seed=1)
-        ops = IdkOps(IdkFeatures.fit(model, X))
+        ops = IdkOps.fit(model, X)
         cores = cores_from_lists([range(10), range(10, 20)], 21)
         labels, orphans = assign_points(ops, cores)
         assert orphans == 1
@@ -148,8 +147,8 @@ class TestRefine:
         labels, _ = assign_points(ops, cores)
         wrong = labels.copy()
         wrong[5] = 1  # blob-0 point mislabeled into cluster 1
-        own = ops.point_to_set(np.nonzero(labels == 0)[0])[5]
-        other = ops.point_to_set(np.nonzero(labels == 1)[0])[5]
+        own = ops.point_to_state(ops.group_state(np.nonzero(labels == 0)[0]))[5]
+        other = ops.point_to_state(ops.group_state(np.nonzero(labels == 1)[0]))[5]
         assert own > other  # hand check: its kernel pulls it back
         refined, _ = refine(ops, cores, wrong)
         assert refined[5] == 0

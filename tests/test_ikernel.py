@@ -5,18 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelhc import (
-    DistributionEmbedding,
-    IdkFeatures,
-    IsolationModel,
-    embed_distribution,
-    embed_point,
-    fit_isolation_model,
-    gdk_kernel,
-    kernel_dist_dist,
-    kernel_point_dist,
-)
-from kernelhc.ikernel import GdkOps, IdkOps, median_heuristic_bandwidth
+from kernelhc import IdkOps, IsolationModel, fit_isolation_model, gdk_kernel, ikernel
+from kernelhc.ikernel import GdkOps, median_heuristic_bandwidth
 
 from conftest import (
     oracle_cells,
@@ -26,6 +16,17 @@ from conftest import (
     oracle_point_vector,
     rng_data,
 )
+
+
+def dense_phi(ops):
+    """The feature matrix Phi as a dense array."""
+    return ops.onehot.toarray() / math.sqrt(ops.t)
+
+
+def two_sets(model, X, Y):
+    """Backend over X stacked on Y, plus the row ranges of each set."""
+    ops = IdkOps.fit(model, np.vstack([X, Y]))
+    return ops, np.arange(len(X)), np.arange(len(X), len(X) + len(Y))
 
 
 class TestFitModel:
@@ -89,116 +90,122 @@ class TestFitModel:
 
 
 class TestEmbedPoint:
+    """Single rows of the feature matrix."""
+
     def test_center_activates_own_cell(self, small_model):
         z = small_model.centers[0][3]
-        fv = embed_point(small_model, z)
-        block0 = [i for i in fv.indices if i < small_model.psi]
+        ops = IdkOps.fit(small_model, z[None, :])
+        block0 = [i for i in ops.onehot.indices if i < small_model.psi]
         assert block0 == [3]  # distance 0 <= radius
 
     def test_far_point_embeds_to_zero(self, small_model):
-        fv = embed_point(small_model, np.array([1e6, 1e6]))
-        assert len(fv.indices) == 0
-        assert fv.norm_sq == 0.0
+        ops = IdkOps.fit(small_model, np.array([[1e6, 1e6]]))
+        assert ops.onehot.nnz == 0
+        assert ops.point_row(0)[0] == 0.0
 
     def test_dimension_mismatch(self, small_model):
-        with pytest.raises(ValueError, match="dimension"):
-            embed_point(small_model, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(ValueError, match="features"):
+            IdkOps.fit(small_model, np.array([[1.0, 2.0, 3.0]]))
 
     def test_matches_bruteforce_scan(self, small_model):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            x = rng.uniform(-0.2, 1.2, size=2)
-            fv = embed_point(small_model, x)
-            assert np.allclose(fv.to_dense(), oracle_point_vector(small_model, x))
+        X = np.random.default_rng(7).uniform(-0.2, 1.2, size=(25, 2))
+        phi = dense_phi(IdkOps.fit(small_model, X))
+        for i, x in enumerate(X):
+            assert np.allclose(phi[i], oracle_point_vector(small_model, x))
 
     def test_one_nonzero_per_block_and_norm_bound(self, small_model):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            fv = embed_point(small_model, rng.uniform(0, 1, size=2))
-            blocks = fv.indices // small_model.psi
-            assert len(set(blocks)) == len(blocks)
-            covered = len(fv.indices)
-            assert fv.norm_sq == pytest.approx(covered / small_model.t)
-            assert fv.norm_sq <= 1.0
+        X = np.random.default_rng(11).uniform(0, 1, size=(25, 2))
+        ops = IdkOps.fit(small_model, X)
+        covered = (oracle_cells(small_model, X) >= 0).sum(axis=1)
+        for i in range(25):
+            blocks = ops.onehot[i].indices // small_model.psi
+            assert len(set(blocks)) == len(blocks) == covered[i]
+            norm_sq = ops.point_row(i)[i]
+            assert norm_sq == pytest.approx(covered[i] / small_model.t)
+            assert norm_sq <= 1.0
 
 
 class TestEmbedDistribution:
+    """Group states: means of feature-matrix rows."""
+
     def test_singleton_equals_point_map(self, small_model):
         x = np.array([0.4, 0.6])
-        emb = embed_distribution(small_model, x[None, :])
-        assert np.allclose(emb.values, embed_point(small_model, x).to_dense())
+        ops = IdkOps.fit(small_model, x[None, :])
+        assert np.allclose(ops.group_state([0]), oracle_point_vector(small_model, x))
 
     def test_duplicates_do_not_move_the_mean(self, small_model):
         x = np.array([0.4, 0.6])
-        emb = embed_distribution(small_model, np.vstack([x, x]))
-        assert np.allclose(emb.values, embed_point(small_model, x).to_dense())
-        assert emb.support_size == 2
+        ops = IdkOps.fit(small_model, np.vstack([x, x]))
+        assert np.allclose(ops.group_state([0, 1]), oracle_point_vector(small_model, x))
 
     def test_mean_of_bruteforce_point_maps(self, small_model):
         pts = rng_data(13, n=10)
-        emb = embed_distribution(small_model, pts)
+        mean = IdkOps.fit(small_model, pts).group_state(np.arange(10))
         expected = np.mean([oracle_point_vector(small_model, x) for x in pts], axis=0)
-        assert np.array_equal(emb.values, expected) or np.allclose(
-            emb.values, expected, atol=1e-15)
+        assert np.allclose(mean, expected, rtol=0, atol=1e-15)
 
     def test_empty_set_rejected(self, small_model):
+        ops = IdkOps.fit(small_model, rng_data(13, n=4))
         with pytest.raises(ValueError, match="empty"):
-            embed_distribution(small_model, np.empty((0, 2)))
+            ops.group_state(np.empty(0, dtype=np.int64))
 
     def test_norm_bounded_by_one(self, small_model):
-        emb = embed_distribution(small_model, rng_data(17, n=20))
-        assert emb.norm <= 1.0 + 1e-12
+        mean = IdkOps.fit(small_model, rng_data(17, n=20)).group_state(np.arange(20))
+        assert np.linalg.norm(mean) <= 1.0 + 1e-12
 
 
 class TestDistributionKernels:
     def test_self_similarity_is_squared_norm(self, small_model):
-        emb = embed_distribution(small_model, rng_data(19, n=8))
-        assert kernel_dist_dist(emb, emb) == pytest.approx(emb.norm**2)
-        assert kernel_dist_dist(emb, emb) <= 1.0
+        X = rng_data(19, n=8)
+        ops = IdkOps.fit(small_model, X)
+        rows = np.arange(8)
+        got = ops.set_similarity(rows, rows)
+        assert got == pytest.approx(oracle_mean_pairwise(small_model, X, X), abs=1e-12)
+        expected_norm = np.linalg.norm(
+            np.mean([oracle_point_vector(small_model, x) for x in X], axis=0))
+        assert got == pytest.approx(expected_norm**2, abs=1e-12)
+        assert got <= 1.0
 
     def test_matches_bruteforce_double_sum(self, small_model):
         X = rng_data(23, n=7)
         Y = rng_data(29, n=5)
-        got = kernel_dist_dist(
-            embed_distribution(small_model, X), embed_distribution(small_model, Y))
+        ops, a, b = two_sets(small_model, X, Y)
+        got = ops.set_similarity(a, b)
         assert got == pytest.approx(oracle_mean_pairwise(small_model, X, Y), abs=1e-12)
 
     def test_disjoint_supports_give_zero(self):
         X = rng_data(1, n=20)
         model = fit_isolation_model(X, psi=4, t=30, seed=3)
         far = X + 1e5  # covered by no hypersphere
-        a = embed_distribution(model, X[:10])
-        b = embed_distribution(model, far[:10])
-        assert kernel_dist_dist(a, b) == 0.0
+        ops, a, b = two_sets(model, X[:10], far[:10])
+        assert ops.set_similarity(a, b) == 0.0
 
     def test_symmetry_exact(self, small_model):
-        a = embed_distribution(small_model, rng_data(31, n=9))
-        b = embed_distribution(small_model, rng_data(37, n=6))
-        assert kernel_dist_dist(a, b) == kernel_dist_dist(b, a)
+        ops, a, b = two_sets(small_model, rng_data(31, n=9), rng_data(37, n=6))
+        assert ops.set_similarity(a, b) == ops.set_similarity(b, a)
 
     def test_dimension_mismatch_rejected(self, small_model):
-        a = embed_distribution(small_model, rng_data(1, n=4))
-        bad = DistributionEmbedding(values=np.zeros(3), support_size=1)
+        ops = IdkOps.fit(small_model, rng_data(1, n=4))
         with pytest.raises(ValueError, match="dimension"):
-            kernel_dist_dist(a, bad)
+            ops.point_to_state(np.zeros(3))
 
     def test_point_to_dist_forms_agree(self, small_model):
         x = np.array([0.3, 0.7])
         members = rng_data(41, n=6)
-        emb = embed_distribution(small_model, members)
-        got = kernel_point_dist(small_model, x, emb)
+        ops, _, rows = two_sets(small_model, x[None, :], members)
+        got = ops.point_to_state(ops.group_state(rows))[0]
         expected = np.mean([oracle_point_kernel(small_model, x, y) for y in members])
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_point_to_singleton_is_squared_norm(self, small_model):
         x = np.array([0.5, 0.5])
-        emb = embed_distribution(small_model, x[None, :])
-        fv = embed_point(small_model, x)
-        assert kernel_point_dist(small_model, x, emb) == pytest.approx(fv.norm_sq)
+        ops = IdkOps.fit(small_model, x[None, :])
+        got = ops.point_to_state(ops.group_state([0]))[0]
+        assert got == pytest.approx(oracle_point_kernel(small_model, x, x), abs=1e-12)
 
     def test_uncovered_point_scores_zero(self, small_model):
-        emb = embed_distribution(small_model, rng_data(43, n=5))
-        assert kernel_point_dist(small_model, np.array([1e6, -1e6]), emb) == 0.0
+        ops, rows, far = two_sets(small_model, rng_data(43, n=5), np.array([[1e6, -1e6]]))
+        assert ops.point_to_state(ops.group_state(rows))[far[0]] == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,40 +217,49 @@ def test_kme_identity_property(seed, psi, t):
     model = fit_isolation_model(data, psi=psi, t=t, seed=seed)
     X = rng.uniform(0, 1, size=(rng.integers(1, 8), 2))
     Y = rng.uniform(0, 1, size=(rng.integers(1, 8), 2))
-    lhs = kernel_dist_dist(embed_distribution(model, X), embed_distribution(model, Y))
+    ops, a, b = two_sets(model, X, Y)
+    lhs = ops.set_similarity(a, b)
     assert lhs == pytest.approx(oracle_mean_pairwise(model, X, Y), abs=1e-12)
     assert 0.0 <= lhs <= 1.0
 
 
 class TestIdkFeatures:
+    """Batch queries of the IdkOps feature matrix."""
+
     def test_cells_match_oracle(self, small_model):
         X = rng_data(47, n=12)
-        feats = IdkFeatures.fit(small_model, X)
-        assert np.array_equal(feats.cells, oracle_cells(small_model, X))
+        expected = oracle_cells(small_model, X)
+        assert np.array_equal(small_model.transform(X), expected)
+        ops = IdkOps.fit(small_model, X)
+        cells = np.full_like(expected, -1)
+        for i in range(12):
+            cols = ops.onehot[i].indices
+            cells[i, cols // small_model.psi] = cols % small_model.psi
+        assert np.array_equal(cells, expected)
 
     def test_batch_similarities_match_single_point_op(self, small_model):
         X = rng_data(53, n=10)
-        feats = IdkFeatures.fit(small_model, X)
-        emb = feats.mean_embedding(np.arange(4))
-        batch = feats.similarities(emb)
+        ops = IdkOps.fit(small_model, X)
+        batch = ops.point_to_state(ops.group_state(np.arange(4)))
         for i in range(10):
-            assert batch[i] == pytest.approx(
-                kernel_point_dist(small_model, X[i], emb), abs=1e-12)
+            expected = np.mean([oracle_point_kernel(small_model, X[i], y) for y in X[:4]])
+            assert batch[i] == pytest.approx(expected, abs=1e-12)
 
     def test_pairwise_matches_rows(self, small_model):
         X = rng_data(59, n=9)
-        feats = IdkFeatures.fit(small_model, X)
-        K = feats.pairwise()
-        assert np.allclose(K, K.T)
+        ops = IdkOps.fit(small_model, X)
+        K = ops.pairwise()
+        assert np.array_equal(K, K.T)
         for i in range(9):
-            assert np.allclose(K[i], feats.point_kernel_row(i))
+            assert np.array_equal(K[i], ops.point_row(i))
+            assert K[i, 0] == oracle_point_kernel(small_model, X[i], X[0])
 
     def test_ops_set_similarity_is_embedding_dot(self, small_model):
         X = rng_data(61, n=12)
-        ops = IdkOps(IdkFeatures.fit(small_model, X))
+        ops = IdkOps.fit(small_model, X)
         a, b = np.arange(5), np.arange(5, 12)
-        expected = kernel_dist_dist(
-            embed_distribution(small_model, X[a]), embed_distribution(small_model, X[b]))
+        vecs = np.array([oracle_point_vector(small_model, x) for x in X])
+        expected = float(vecs[a].mean(axis=0) @ vecs[b].mean(axis=0))
         assert ops.set_similarity(a, b) == pytest.approx(expected, abs=1e-15)
 
 
@@ -280,5 +296,20 @@ class TestGdk:
         ops = GdkOps(X, bandwidth=0.8)
         a, b = np.arange(4), np.arange(4, 10)
         assert ops.set_similarity(a, b) == pytest.approx(gdk_kernel(X[a], X[b], 0.8))
-        p2s = ops.point_to_set(b)
+        p2s = ops.point_to_state(ops.group_state(b))
         assert p2s[2] == pytest.approx(gdk_kernel(X[2][None, :], X[b], 0.8))
+
+    @pytest.mark.parametrize("group", [10, 100])
+    def test_gdk_ops_blocked_queries_match_oracle(self, monkeypatch, group):
+        # 64 kernel values per block: 6 rows per block against a group of
+        # 10, and a group of 100 larger than a whole block
+        monkeypatch.setattr(ikernel, "GDK_BLOCK", 64)
+        X = rng_data(19, n=120)
+        ops = GdkOps(X, bandwidth=0.5)
+        rows = np.arange(group)
+        p2s = ops.point_to_state(ops.group_state(rows))
+        for i in (0, 7, 63, 119):
+            assert p2s[i] == pytest.approx(oracle_gdk(X[i][None, :], X[rows], 0.5), abs=1e-12)
+        other = np.arange(group, 120)
+        assert ops.set_similarity(rows, other) == pytest.approx(
+            oracle_gdk(X[rows], X[other], 0.5), abs=1e-12)
