@@ -184,6 +184,15 @@ class TestRun:
         assert res.tree.is_finalized
         res.tree.validate()
 
+    def test_large_scale_runs_and_overflowing_scale_is_rejected(self):
+        X, labels = two_blobs(seed=32, n_per=40)
+        cfg = RunConfig(k=2, psi=4, t=50, tau=0.01, rho=0.1, s=80, seed=9)
+        res = run(X * 1e100, cfg)
+        assert res.k == 2
+        assert dendrogram_purity(res.tree, labels) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="rescale"):
+            run(X * 1e300, cfg)
+
     def test_deterministic_given_seed(self):
         X, _ = two_blobs(seed=33, n_per=30)
         cfg = RunConfig(k=2, psi=4, t=30, s=50, seed=4)

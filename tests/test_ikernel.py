@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from kernelhc import IdkOps, IsolationModel, fit_isolation_model, gdk_kernel, ikernel
 from kernelhc.ikernel import GdkOps, median_heuristic_bandwidth
@@ -49,6 +50,11 @@ class TestFitModel:
         X[3, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             fit_isolation_model(X, psi=4, t=3, seed=0)
+
+    def test_overflowing_scale_rejected(self):
+        # squared distances of points at 1e300 overflow float64
+        with pytest.raises(ValueError, match="rescale"):
+            fit_isolation_model(rng_data(0) * 1e300, psi=4, t=3, seed=0)
 
     def test_deterministic_and_bit_identical(self):
         X = rng_data(5, n=50)
@@ -106,6 +112,17 @@ class TestEmbedPoint:
     def test_dimension_mismatch(self, small_model):
         with pytest.raises(ValueError, match="features"):
             IdkOps.fit(small_model, np.array([[1.0, 2.0, 3.0]]))
+
+    def test_overflowing_points_rejected(self, small_model):
+        with pytest.raises(ValueError, match="rescale"):
+            small_model.transform(rng_data(3, n=5) * 1e300)
+
+    def test_large_safe_scale_matches_oracle(self):
+        X = rng_data(5, n=30) * 1e100
+        model = fit_isolation_model(X, psi=6, t=25, seed=42)
+        cells = model.transform(X)
+        assert np.array_equal(cells, oracle_cells(model, X))
+        assert (cells >= 0).any()
 
     def test_matches_bruteforce_scan(self, small_model):
         X = np.random.default_rng(7).uniform(-0.2, 1.2, size=(25, 2))
@@ -179,6 +196,20 @@ class TestDistributionKernels:
         far = X + 1e5  # covered by no hypersphere
         ops, a, b = two_sets(model, X[:10], far[:10])
         assert ops.set_similarity(a, b) == 0.0
+
+    def test_self_similarity_builds_one_mean(self, small_model, monkeypatch):
+        ops = IdkOps.fit(small_model, rng_data(19, n=8))
+        rows = np.arange(8)
+        expected = float(ops.group_state(rows) @ ops.group_state(rows))
+        calls = []
+        group_state = IdkOps.group_state
+        monkeypatch.setattr(IdkOps, "group_state",
+                            lambda self, r: calls.append(r) or group_state(self, r))
+        assert ops.set_similarity(rows, rows) == expected
+        assert len(calls) == 1
+        # equal contents in another array still build both means
+        assert ops.set_similarity(rows, rows.copy()) == expected
+        assert len(calls) == 3
 
     def test_symmetry_exact(self, small_model):
         ops, a, b = two_sets(small_model, rng_data(31, n=9), rng_data(37, n=6))
@@ -263,6 +294,105 @@ class TestIdkFeatures:
         assert ops.set_similarity(a, b) == pytest.approx(expected, abs=1e-15)
 
 
+def edge_points(model):
+    """For every center c and its nearest sibling c': 2c - c', at the radius
+    of c (exactly so on integer data), and (c + c') / 2, as near to c' as
+    to c."""
+    out = []
+    for c in model.centers:
+        dm = cdist(c, c)
+        np.fill_diagonal(dm, np.inf)
+        sibling = c[dm.argmin(axis=1)]
+        out += [2 * c - sibling, (c + sibling) / 2]
+    return np.vstack(out)
+
+
+@st.composite
+def screen_cases(draw):
+    """A fitted model and query points on the screen's edges: duplicates,
+    integer grids, the model's own centers, points at a radius or halfway
+    between two centers, and psi near n."""
+    d = draw(st.sampled_from([2, 16, 64]))
+    kind = draw(st.sampled_from(["duplicates", "grid", "gaussian"]))
+    seed = draw(st.integers(0, 2**20))
+    n = draw(st.integers(4, 30))
+    rng = np.random.default_rng(seed)
+    if kind == "duplicates":
+        distinct = rng.normal(size=(draw(st.integers(1, 4)), d))
+        X = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "grid":
+        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, d)) * 10.0 ** draw(st.integers(-170, 150))
+    psi = draw(st.one_of(st.integers(2, 4), st.integers(max(2, n - 2), n)))
+    model = fit_isolation_model(X, psi=psi, t=draw(st.integers(1, 6)), seed=seed)
+    queries = np.vstack([X, model.centers.reshape(-1, d), edge_points(model)])
+    return model, queries
+
+
+def cells_both_ways(model, X):
+    """transform's cells through the exact scan and through the GEMM screen."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ikernel, "GEMM_MIN_DIM", X.shape[1] + 1)
+        exact = model.transform(X)
+        mp.setattr(ikernel, "GEMM_MIN_DIM", 1)
+        screened = model.transform(X)
+    return exact, screened
+
+
+class TestScreen:
+    """The GEMM screen of IsolationModel.transform equals the exact scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=screen_cases())
+    def test_screen_equals_exact_scan(self, case):
+        model, X = case
+        exact, screened = cells_both_ways(model, X)
+        assert screened.dtype == np.int32 and screened.shape == (len(X), model.t)
+        assert np.array_equal(screened, exact)
+        if X.shape[1] == 2:
+            rows = np.linspace(0, len(X) - 1, min(len(X), 40)).astype(int)
+            assert np.array_equal(screened[rows], oracle_cells(model, X[rows]))
+
+    def test_duplicates_fall_back_to_the_exact_scan(self, monkeypatch):
+        # coinciding centers tie and have radius 0, so the screen cannot
+        # certify them; the exact scan must decide those pairs
+        rng = np.random.default_rng(3)
+        X = np.repeat(rng.normal(size=(10, 64)), 20, axis=0)
+        model = fit_isolation_model(X, psi=16, t=20, seed=5)
+        rescanned = []
+        scan = ikernel._scan_cells
+        monkeypatch.setattr(ikernel, "_scan_cells",
+                            lambda Xr, c, r: rescanned.append(len(Xr)) or scan(Xr, c, r))
+        exact, screened = cells_both_ways(model, X)
+        assert np.array_equal(screened, exact)
+        fallback = sum(rescanned) - len(X) * model.t  # the exact pass scans every pair
+        assert 0 < fallback < len(X) * model.t
+
+    def test_screen_blocks_match(self, monkeypatch):
+        # 3 rows per block, and a block smaller than one row of scores
+        X = np.random.default_rng(7).normal(size=(50, 16))
+        model = fit_isolation_model(X, psi=8, t=12, seed=1)
+        exact, _ = cells_both_ways(model, X)
+        for block in (3 * 8 * 12, 5):
+            monkeypatch.setattr(ikernel, "SCREEN_BLOCK", block)
+            assert np.array_equal(cells_both_ways(model, X)[1], exact)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162])
+    def test_subnormal_scale(self, scale):
+        # squared distances below the normal range err absolutely, not
+        # relatively; the screen's bound must still hold
+        X = np.random.default_rng(0).normal(size=(60, 16)) * scale
+        model = fit_isolation_model(X, psi=8, t=10, seed=0)
+        exact, screened = cells_both_ways(model, X)
+        assert np.array_equal(screened, exact)
+
+    def test_empty_input(self):
+        model = fit_isolation_model(rng_data(1, n=20, d=16), psi=4, t=5, seed=0)
+        exact, screened = cells_both_ways(model, np.empty((0, 16)))
+        assert screened.shape == exact.shape == (0, 5)
+
+
 class TestGdk:
     def test_identical_singletons_score_one(self):
         x = np.array([[1.0, 2.0]])
@@ -285,6 +415,10 @@ class TestGdk:
         X = rng_data(1, n=3)
         with pytest.raises(ValueError, match="empty"):
             gdk_kernel(X, np.empty((0, 2)), 1.0)
+
+    def test_overflowing_scale_rejected(self):
+        with pytest.raises(ValueError, match="rescale"):
+            GdkOps(rng_data(1, n=5) * 1e300, bandwidth=1.0)
 
     def test_median_heuristic_positive_and_deterministic(self):
         X = rng_data(13, n=200)

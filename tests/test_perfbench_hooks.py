@@ -1,0 +1,44 @@
+"""The benchmark's tracer (perfbench/tracer.py) wraps library functions by
+owner and attribute name. A refactor that moves or renames one of them must
+fail here, not only when the benchmark runs."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kernelhc import fit_isolation_model, ikernel
+
+from conftest import rng_data
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    return tracer
+
+
+def test_every_target_is_defined_on_its_owner(tracer):
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _, _ in tracer.TARGETS
+               if attr not in owner.__dict__]
+    assert not missing
+
+
+@pytest.mark.parametrize("d", [2, ikernel.GEMM_MIN_DIM])
+def test_traced_transform_returns_int32_cells(tracer, d):
+    X = rng_data(3, n=25, d=d)
+    model = fit_isolation_model(X, psi=5, t=7, seed=0)
+    original = vars(ikernel.IsolationModel)["transform"]
+    tr = tracer.Tracer()
+    with tr.installed():
+        cells = model.transform(X)
+    assert vars(ikernel.IsolationModel)["transform"] is original
+    assert cells.dtype == np.int32 and cells.shape == (25, 7)
+    stats = tr.take()["ikernel.transform"]
+    assert stats["calls"] == 1
+    assert stats["points"] == 25
+    assert stats["covered"] == np.count_nonzero(cells >= 0)
