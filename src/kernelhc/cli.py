@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baseline, datasets, dendro, hier, metrics
+from . import baseline, datasets, dendro, hier, ikernel, metrics
 from .ikernel import IdkOps, IsolationModel
 
 MANIFEST_FORMAT = "kernelhc-run-manifest"
@@ -144,11 +144,12 @@ def cmd_cluster(args) -> int:
         warnings.extend(result.warnings)
         timings.update(result.timings)
         model = result.model
+        extra = {"k_effective": result.k, "iterations": result.iterations}
         if result.feats is not None:
             dendro.annotate_alphas(tree, result.feats)
+            extra["transform_workers"] = ikernel.WORKERS
         metric_values["tsc_local_before_refine"] = result.tsc_trace[0]
         metric_values["tsc_local_after_refine"] = result.tsc_trace[1]
-        extra = {"k_effective": result.k, "iterations": result.iterations}
     timings["total"] = time.perf_counter() - t0
 
     outputs["tree_json"] = out / "tree.json"

@@ -13,14 +13,10 @@ full-dataset rows in ``subset_indices``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
-
-CORES_FORMAT = "kernelhc-core-clusters"
-CORES_VERSION = 1
 
 
 @dataclass
@@ -31,7 +27,7 @@ class CoreClusterSet:
     noise: np.ndarray
     subset_indices: np.ndarray
     warnings: list = field(default_factory=list)
-    meta: dict = field(default_factory=dict)  # diagnostics, not serialized
+    meta: dict = field(default_factory=dict)  # diagnostics
 
     @property
     def k(self) -> int:
@@ -43,30 +39,6 @@ class CoreClusterSet:
 
     def sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.clusters], dtype=np.int64)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format": CORES_FORMAT,
-                "version": CORES_VERSION,
-                "clusters": [c.tolist() for c in self.clusters],
-                "noise": self.noise.tolist(),
-                "subset_indices": self.subset_indices.tolist(),
-                "warnings": list(self.warnings),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoreClusterSet":
-        obj = json.loads(text)
-        if obj.get("format") != CORES_FORMAT:
-            raise ValueError("not a core-cluster JSON document")
-        return cls(
-            clusters=[np.asarray(c, dtype=np.int64) for c in obj["clusters"]],
-            noise=np.asarray(obj["noise"], dtype=np.int64),
-            subset_indices=np.asarray(obj["subset_indices"], dtype=np.int64),
-            warnings=list(obj.get("warnings", [])),
-        )
 
 
 def select_subset(data: np.ndarray, s: int, seed: int):

@@ -12,12 +12,15 @@ between two point sets equals the inner product of their mean feature maps,
 which is what makes set-to-set and point-to-set comparisons cheap.
 
 Everything here is deterministic given (data, psi, t, seed) and immutable
-after construction, so models and feature matrices can be shared freely.
+after construction, so models and feature matrices can be shared freely,
+across threads too: ``IsolationModel.transform`` scans on ``WORKERS`` threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +54,19 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
 
 
 # Inputs with at least this many features take the GEMM screen in
-# IsolationModel.transform. Exact scan vs screen on 8,000 Gaussian points,
-# psi=48, t=200, one BLAS thread: 0.48 vs 0.51 s at d=2, 0.71 vs 0.58 s at
-# d=8, 1.03 vs 0.67 s at d=16, 3.17 vs 1.02 s at d=64; from d=3 to d=10
-# some runs put the two within noise of each other.
-GEMM_MIN_DIM = 8
+# IsolationModel.transform. Seconds for 8,000 Gaussian points, psi=48, t=200,
+# one BLAS thread, best of 3 (ranges over 2-3 runs); exact scan on 2 workers:
+#   d       2     8          12         16         20         24         64
+#   exact   0.27  0.34-0.36  0.46-0.51  0.56-0.60  0.62-0.67  0.70-0.78  1.53
+#   screen  0.57  0.54-0.63  0.57-0.74  0.56-0.64  0.63-0.68  0.63-0.72  0.87
+GEMM_MIN_DIM = 16
 # Largest number of float64 screen scores IsolationModel.transform holds at once.
 SCREEN_BLOCK = 1 << 19
+# Most float64 distances (rows times psi) one exact-scan task holds: 512 KiB, in L2.
+SCAN_BLOCK = 1 << 16
+# Threads for the exact scans (cdist and argmin release the GIL): every CPU
+# this process may run on.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _EPS = np.finfo(np.float64).eps  # 2u, twice the unit roundoff u
 _ETA = np.finfo(np.float64).smallest_subnormal
 
@@ -73,6 +82,16 @@ def _scan_cells(X: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.nda
     nearest = dist.argmin(axis=1)
     covered = dist[np.arange(len(X)), nearest] <= radii[nearest]
     return np.where(covered, nearest, -1)
+
+
+def _run_tasks(task, items) -> list:
+    """[task(item) for item in items] on up to WORKERS threads; inline, with
+    no pool, when there is one item or one worker."""
+    items = list(items)
+    if min(WORKERS, len(items)) < 2:
+        return list(map(task, items))
+    with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
+        return list(pool.map(task, items))
 
 
 # Why a screened cell equals the _scan_cells one bit for bit. Write D for
@@ -154,15 +173,6 @@ class IsolationModel:
     t: int
     seed: int
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the feature space, t * psi."""
-        return self.t * self.psi
-
-    @property
-    def n_features_in(self) -> int:
-        return self.centers.shape[2]
-
     def transform(self, X: np.ndarray) -> np.ndarray:
         """Map points to cell indices, shape (n, t), int32.
 
@@ -177,21 +187,33 @@ class IsolationModel:
         and radius test are beyond its rounding error; only the remaining
         pairs are rescanned exactly. Either way the cells are those of the
         exact ``cdist`` scan, bit for bit.
+
+        Exact scans run on up to WORKERS threads, one task per row block of
+        at most SCAN_BLOCK distances per partitioning or per partitioning to
+        rescan. A task writes only its own cells, which depend on their rows
+        alone, so the output does not depend on WORKERS or SCAN_BLOCK.
         """
         X = _check_matrix(X, "X")
-        if X.shape[1] != self.n_features_in:
-            raise ValueError(
-                f"expected {self.n_features_in} features, got {X.shape[1]}"
-            )
-        out = np.empty((X.shape[0], self.t), dtype=np.int32)
-        if X.shape[1] < GEMM_MIN_DIM:
-            for i in range(self.t):
-                out[:, i] = _scan_cells(X, self.centers[i], self.radii[i])
+        n, d = X.shape
+        if d != self.centers.shape[2]:
+            raise ValueError(f"expected {self.centers.shape[2]} features, got {d}")
+        out = np.empty((n, self.t), dtype=np.int32)
+        if d < GEMM_MIN_DIM:
+            step = max(1, SCAN_BLOCK // self.psi)
+
+            def scan(lo):  # every partitioning of one row block
+                for i, (centers, radii) in enumerate(zip(self.centers, self.radii)):
+                    out[lo:lo + step, i] = _scan_cells(X[lo:lo + step], centers, radii)
+            _run_tasks(scan, range(0, n, step))
             return out
+        # The screen stays on this thread: on two threads its GEMMs raised the peak RSS
+        # of transforming 8,000 64-d points from 102 to 117 MiB (a second thread's buffers).
         ambiguous = _screen_cells(X, self.centers, self.radii, out)
-        for i in np.flatnonzero(ambiguous.any(axis=0)):
+
+        def rescan(i):
             rows = np.flatnonzero(ambiguous[:, i])
             out[rows, i] = _scan_cells(X[rows], self.centers[i], self.radii[i])
+        _run_tasks(rescan, np.flatnonzero(ambiguous.any(axis=0)))
         return out
 
     def save(self, path) -> None:
@@ -316,10 +338,13 @@ class IdkOps:
         covered = cells >= 0
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(covered.sum(axis=1), out=indptr[1:])
-        # row-major order keeps each row's columns sorted by partitioning
-        indices = (cells + np.arange(t, dtype=np.int32) * model.psi)[covered]
+        # row-major order keeps each row's columns sorted by partitioning; the
+        # (n, t) tables go before Phi's data arrives, or they set a job's peak memory
+        cells += np.arange(t, dtype=np.int32) * model.psi
+        indices = cells[covered]
+        del cells, covered
         onehot = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
-                                   shape=(n, model.dim))
+                                   shape=(n, t * model.psi))
         return cls(onehot, t)
 
     @property

@@ -66,6 +66,8 @@ class TestCluster:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["metrics"]["purity"] == pytest.approx(1.0)
         assert manifest["k_effective"] == 2
+        workers = manifest["transform_workers"]
+        assert isinstance(workers, int) and workers > 0
         assert manifest["input"]["sha256"]
         assert set(manifest["timings"]) >= {"fit", "cores", "tree", "assign",
                                             "refine", "total"}

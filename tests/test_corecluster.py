@@ -230,14 +230,3 @@ class TestIkDbscan:
         cores = ik_dbscan_cores(ops, eps_sim=1.01, min_pts=2, k=2)
         assert cores.k == 0
         assert cores.warnings
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        X, _ = two_blobs(seed=14, n_per=10)
-        _, ops = blob_ops(X)
-        cores = kpskc(ops, k=2, tau=0.01, rho=0.1, subset_indices=np.arange(20) + 100)
-        back = CoreClusterSet.from_json(cores.to_json())
-        assert [c.tolist() for c in back.clusters] == [c.tolist() for c in cores.clusters]
-        assert back.noise.tolist() == cores.noise.tolist()
-        assert back.subset_indices.tolist() == cores.subset_indices.tolist()

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -391,6 +393,90 @@ class TestScreen:
         model = fit_isolation_model(rng_data(1, n=20, d=16), psi=4, t=5, seed=0)
         exact, screened = cells_both_ways(model, np.empty((0, 16)))
         assert screened.shape == exact.shape == (0, 5)
+
+
+def worker_inputs(d):
+    """A fitted model and two queries: 103 Gaussian points (no multiple of
+    the small blocks) and 10 distinct points repeated 12 times, whose
+    coinciding centers leave many pairs for the screen's rescan."""
+    rng = np.random.default_rng(d)
+    X = rng.normal(size=(103, d))
+    dups = np.repeat(rng.normal(size=(10, d)), 12, axis=0)
+    model = fit_isolation_model(np.vstack([X, dups]), psi=6, t=15, seed=d)
+    return model, {"gaussian": X, "duplicates": dups}
+
+
+class PoolSpy(ThreadPoolExecutor):
+    """ThreadPoolExecutor that records the worker count of every pool."""
+
+    started = []
+
+    def __init__(self, workers):
+        PoolSpy.started.append(workers)
+        super().__init__(workers)
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    PoolSpy.started = []
+    monkeypatch.setattr(ikernel, "ThreadPoolExecutor", PoolSpy)
+    return PoolSpy.started
+
+
+class TestWorkers:
+    """transform's cells do not depend on WORKERS or SCAN_BLOCK, on either
+    the exact scan (d=2) or the screen (d=GEMM_MIN_DIM)."""
+
+    @pytest.mark.parametrize("d", [2, ikernel.GEMM_MIN_DIM])
+    def test_cells_independent_of_workers_and_block(self, monkeypatch, pool_spy, d):
+        model, queries = worker_inputs(d)
+        for name, X in queries.items():
+            expected = oracle_cells(model, X)
+            for workers in (1, 2):
+                for block in (3 * model.psi, ikernel.SCAN_BLOCK):  # 3 rows, default
+                    monkeypatch.setattr(ikernel, "WORKERS", workers)
+                    monkeypatch.setattr(ikernel, "SCAN_BLOCK", block)
+                    cells = model.transform(X)
+                    assert cells.dtype == np.int32 and cells.shape == (len(X), model.t)
+                    assert np.array_equal(cells, expected), (name, workers, block)
+        assert pool_spy and set(pool_spy) == {2}
+
+    @pytest.mark.parametrize("d", [2, ikernel.GEMM_MIN_DIM])
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_tiny_inputs(self, monkeypatch, d, n):
+        model, queries = worker_inputs(d)
+        X = queries["gaussian"][:n]
+        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 3 * model.psi)
+        single = model.transform(X)
+        monkeypatch.setattr(ikernel, "WORKERS", 2)
+        assert single.shape == (n, model.t)
+        assert np.array_equal(model.transform(X), single)
+        assert np.array_equal(single, oracle_cells(model, X))
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        # a lost or misplaced write of a shared output would show as a
+        # difference from the inline scan; one row per task, 8 threads
+        model, queries = worker_inputs(2)
+        X = queries["gaussian"]
+        expected = model.transform(X)
+        monkeypatch.setattr(ikernel, "SCAN_BLOCK", model.psi)
+        monkeypatch.setattr(ikernel, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(model.transform(X), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_single_block_starts_no_pool(self, monkeypatch, pool_spy):
+        model, queries = worker_inputs(2)
+        monkeypatch.setattr(ikernel, "WORKERS", 2)
+        model.transform(queries["gaussian"])  # 103 rows, one default block
+        assert pool_spy == []
+        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 50 * model.psi)
+        model.transform(queries["gaussian"])  # three blocks
+        assert pool_spy == [2]
 
 
 class TestGdk:
