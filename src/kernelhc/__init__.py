@@ -16,7 +16,7 @@ from .dendro import (
 )
 from .graphs import AttributedGraph, wl_embed
 from .hier import RunConfig, RunResult, assign_points, build_tree, refine, run
-from .ikernel import GdkOps, IdkOps, IsolationModel, fit_isolation_model, gdk_kernel
+from .ikernel import GdkOps, IdkOps, IsolationModel, fit_isolation_model
 from .metrics import ari, nmi
 
 __version__ = "0.1.0"

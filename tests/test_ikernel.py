@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from kernelhc import IdkOps, IsolationModel, fit_isolation_model, gdk_kernel, ikernel
+from kernelhc import IdkOps, IsolationModel, fit_isolation_model, ikernel
 from kernelhc.ikernel import GdkOps, median_heuristic_bandwidth
 
 from conftest import (
@@ -479,28 +479,56 @@ class TestWorkers:
         assert pool_spy == [2]
 
 
+def gdk_sets(X, Y, bandwidth):
+    """Gaussian backend over X stacked on Y, plus the row ranges of each set."""
+    ops = GdkOps(np.vstack([X, Y]), bandwidth)
+    return ops, np.arange(len(X)), np.arange(len(X), len(X) + len(Y))
+
+
+def unblocked_row_means(A, B, bandwidth):
+    """Mean Gaussian kernel value of each row of A against all of B, in one
+    expression over the whole kernel matrix."""
+    return np.exp(-cdist(A, B, "sqeuclidean") / (2.0 * bandwidth**2)).mean(axis=1)
+
+
+@pytest.mark.parametrize("backend", ["idk", "gdk"])
+def test_empty_group_rejected(backend):
+    X = rng_data(13, n=4)
+    if backend == "idk":
+        ops = IdkOps.fit(fit_isolation_model(X, psi=2, t=5, seed=0), X)
+    else:
+        ops = GdkOps(X, bandwidth=1.0)
+    empty, rows = np.empty(0, dtype=np.int64), np.arange(3)
+    for query in (lambda: ops.group_state(empty), lambda: ops.set_similarity(rows, empty),
+                  lambda: ops.set_similarity(empty, rows), lambda: ops.set_similarity([], [])):
+        with pytest.raises(ValueError, match="cannot embed an empty point set"):
+            query()
+
+
 class TestGdk:
     def test_identical_singletons_score_one(self):
-        x = np.array([[1.0, 2.0]])
-        assert gdk_kernel(x, x, bandwidth=0.7) == pytest.approx(1.0)
+        ops = GdkOps(np.array([[1.0, 2.0]]), bandwidth=0.7)
+        assert ops.set_similarity([0], [0]) == 1.0
 
     def test_symmetry(self):
-        X, Y = rng_data(3, n=6), rng_data(5, n=4)
-        assert gdk_kernel(X, Y, 1.3) == pytest.approx(gdk_kernel(Y, X, 1.3))
+        ops, a, b = gdk_sets(rng_data(3, n=6), rng_data(5, n=4), 1.3)
+        assert ops.set_similarity(a, b) == pytest.approx(ops.set_similarity(b, a))
 
     def test_matches_hand_rolled_double_sum(self):
         X, Y = rng_data(7, n=5), rng_data(11, n=5)
-        assert gdk_kernel(X, Y, 0.9) == pytest.approx(oracle_gdk(X, Y, 0.9), abs=1e-12)
+        ops, a, b = gdk_sets(X, Y, 0.9)
+        assert ops.set_similarity(a, b) == pytest.approx(oracle_gdk(X, Y, 0.9), abs=1e-12)
 
     def test_nonpositive_bandwidth_rejected(self):
         X = rng_data(1, n=3)
-        with pytest.raises(ValueError, match="bandwidth"):
-            gdk_kernel(X, X, 0.0)
+        for bandwidth in (0.0, -1.0):
+            with pytest.raises(ValueError, match="bandwidth"):
+                GdkOps(X, bandwidth)
 
     def test_empty_set_rejected(self):
-        X = rng_data(1, n=3)
+        ops = GdkOps(rng_data(1, n=3), bandwidth=1.0)
         with pytest.raises(ValueError, match="empty"):
-            gdk_kernel(X, np.empty((0, 2)), 1.0)
+            ops.set_similarity(np.arange(3), np.empty(0, dtype=np.int64))
 
     def test_overflowing_scale_rejected(self):
         with pytest.raises(ValueError, match="rescale"):
@@ -510,14 +538,6 @@ class TestGdk:
         X = rng_data(13, n=200)
         assert median_heuristic_bandwidth(X) == median_heuristic_bandwidth(X)
         assert median_heuristic_bandwidth(X) > 0
-
-    def test_gdk_ops_consistent_with_gdk_kernel(self):
-        X = rng_data(17, n=10)
-        ops = GdkOps(X, bandwidth=0.8)
-        a, b = np.arange(4), np.arange(4, 10)
-        assert ops.set_similarity(a, b) == pytest.approx(gdk_kernel(X[a], X[b], 0.8))
-        p2s = ops.point_to_state(ops.group_state(b))
-        assert p2s[2] == pytest.approx(gdk_kernel(X[2][None, :], X[b], 0.8))
 
     @pytest.mark.parametrize("group", [10, 100])
     def test_gdk_ops_blocked_queries_match_oracle(self, monkeypatch, group):
@@ -533,3 +553,49 @@ class TestGdk:
         other = np.arange(group, 120)
         assert ops.set_similarity(rows, other) == pytest.approx(
             oracle_gdk(X[rows], X[other], 0.5), abs=1e-12)
+
+    def test_row_means_independent_of_workers_and_block(self, monkeypatch, pool_spy):
+        # repeated points give equal rows and zero distances; a strided group
+        # gathers rows far apart; a block of 1 value holds one row per task
+        rng = np.random.default_rng(23)
+        X = np.vstack([rng.normal(size=(90, 2)), np.repeat(rng.normal(size=(5, 2)), 6, axis=0)])
+        h = 0.6
+        ops = GdkOps(X, bandwidth=h)
+        groups = {"three": np.array([4, 95, 96]), "strided": np.arange(1, len(X), 7),
+                  "all": np.arange(len(X))}
+        for name, rows in groups.items():
+            expected = unblocked_row_means(X, X[rows], h)
+            expected_set = float(unblocked_row_means(X[rows], X[rows], h).mean())
+            for workers in (1, 2):
+                for block in (1, 64, ikernel.GDK_BLOCK):
+                    monkeypatch.setattr(ikernel, "WORKERS", workers)
+                    monkeypatch.setattr(ikernel, "GDK_BLOCK", block)
+                    got = ops.point_to_state(ops.group_state(rows))
+                    assert np.array_equal(got, expected), (name, workers, block)
+                    assert ops.set_similarity(rows, rows) == expected_set, (name, workers, block)
+        assert pool_spy and set(pool_spy) == {2}
+
+    def test_single_block_starts_no_pool(self, monkeypatch, pool_spy):
+        ops = GdkOps(rng_data(29, n=120), bandwidth=0.5)
+        monkeypatch.setattr(ikernel, "WORKERS", 2)
+        ops.point_to_state(ops.group_state(np.arange(120)))  # 14,400 values, one block
+        assert pool_spy == []
+        monkeypatch.setattr(ikernel, "GDK_BLOCK", 50 * 120)
+        ops.point_to_state(ops.group_state(np.arange(120)))  # three blocks
+        assert pool_spy == [2]
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        # a lost or misplaced write to the shared output shows as a
+        # difference from the unblocked means; one row per task, 8 threads
+        X = rng_data(31, n=150)
+        ops = GdkOps(X, bandwidth=0.4)
+        expected = unblocked_row_means(X, X, 0.4)
+        monkeypatch.setattr(ikernel, "GDK_BLOCK", 1)
+        monkeypatch.setattr(ikernel, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(ops.point_to_state(ops.group_state(np.arange(150))), expected)
+        finally:
+            sys.setswitchinterval(interval)

@@ -59,3 +59,21 @@ def test_traced_parallel_transform_counts_one_call(tracer, monkeypatch):
     assert stats["calls"] == 1
     assert stats["points"] == 100
     assert np.array_equal(cells, untraced)
+
+
+def test_traced_parallel_gdk_counts_one_call(tracer, monkeypatch):
+    # the Gaussian row blocks also run on a pool inside point_to_state, so its
+    # wrapper sees one call that scores every row
+    X = rng_data(5, n=100, d=2)
+    ops = ikernel.GdkOps(X, bandwidth=0.5)
+    state = ops.group_state(np.arange(0, 100, 2))
+    monkeypatch.setattr(ikernel, "WORKERS", 2)
+    monkeypatch.setattr(ikernel, "GDK_BLOCK", 8 * len(state))  # 13 blocks
+    untraced = ops.point_to_state(state)
+    tr = tracer.Tracer()
+    with tr.installed():
+        sims = ops.point_to_state(state)
+    stats = tr.take()["ikernel.point_to_state"]
+    assert stats["calls"] == 1
+    assert stats["rows_scored"] == 100
+    assert np.array_equal(sims, untraced)
