@@ -148,6 +148,11 @@ def cmd_cluster(args) -> int:
         if result.feats is not None:
             dendro.annotate_alphas(tree, result.feats)
             extra["transform_workers"] = ikernel.WORKERS
+        if args.clusterer == "kpskc":
+            meta = result.cores.meta
+            extra["kpskc"] = {"growth_steps": [len(g) for g in meta["gamma_traces"]],
+                              "scored_sets": meta["scored_sets"],
+                              "members": result.cores.sizes().tolist()}
         metric_values["tsc_local_before_refine"] = result.tsc_trace[0]
         metric_values["tsc_local_after_refine"] = result.tsc_trace[1]
     timings["total"] = time.perf_counter() - t0

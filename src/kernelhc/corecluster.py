@@ -72,6 +72,14 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
 
     Seeding stops early (with a warning recorded) when the decayed seed
     similarity is already below tau, so fewer than k clusters may return.
+
+    Each round works on ``ops.take(remaining)`` and scores a member set only
+    when it differs from the last one scored (``meta["scored_sets"]`` counts
+    them per cluster). Both savings are exact: the query is a deterministic
+    function of the member array in its row order, and a row's score reads
+    only that row (a CSR matvec sums the row's own entries in order, a
+    Gaussian row mean reduces the row's own values), so dropping removed rows
+    changes no remaining row's bits.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
@@ -89,12 +97,15 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
     clusters: list = []
     warnings: list = []
     gamma_traces: list = []
+    scored_sets: list = []
 
     while len(remaining) > 1 and len(clusters) < k:
-        sims_d = ops.point_to_state(ops.group_state(remaining))
-        p = remaining[int(np.argmax(sims_d[remaining]))]
-        row_p = ops.point_row(p)
-        cand = remaining[remaining != p]
+        rest = ops if len(remaining) == m else ops.take(remaining)
+        local = np.arange(len(remaining))
+        sims_d = rest.point_to_state(rest.group_state(local))
+        p = int(np.argmax(sims_d))
+        row_p = rest.point_row(p)
+        cand = local[local != p]
         q = cand[int(np.argmax(row_p[cand]))]
         gamma = (1.0 - rho) * float(row_p[q])
         if gamma <= tau:
@@ -105,11 +116,16 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
             break
 
         grown = np.array([p, q], dtype=np.int64)
+        scored = local[:0]  # the member array sims_g was computed for
+        n_scored = 0
         trace = []
         while gamma > tau:
             trace.append(gamma)
-            sims_g = ops.point_to_state(ops.group_state(grown))
-            new = remaining[sims_g[remaining] > gamma]
+            if not np.array_equal(grown, scored):
+                sims_g = rest.point_to_state(rest.group_state(grown))
+                scored = grown
+                n_scored += 1
+            new = np.flatnonzero(sims_g > gamma)
             gamma *= 1.0 - rho
             if len(new) == 0:
                 # a fully collapsed growth step would leave nothing to embed
@@ -120,9 +136,10 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
                 break
             grown = new
 
-        clusters.append(np.sort(grown))
+        clusters.append(np.sort(remaining[grown]))
         gamma_traces.append(np.asarray(trace))
-        remaining = remaining[~np.isin(remaining, grown)]
+        scored_sets.append(n_scored)
+        remaining = np.delete(remaining, grown)
 
     if len(clusters) < k and not warnings:
         warnings.append(f"terminated with {len(clusters)} of {k} requested clusters")
@@ -132,7 +149,7 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
         noise=remaining,
         subset_indices=np.asarray(subset_indices),
         warnings=warnings,
-        meta={"gamma_traces": gamma_traces},
+        meta={"gamma_traces": gamma_traces, "scored_sets": scored_sets},
     )
 
 

@@ -357,8 +357,9 @@ class IdkOps:
 
     def point_row(self, i: int) -> np.ndarray:
         """Phi Phi_i^T: point kernel between point i and every point."""
-        shared = self.onehot @ self.onehot[i].T
-        return shared.toarray().ravel() / self.t
+        own = np.zeros(self.onehot.shape[1])  # point i's cells, as a dense 0/1 vector
+        own[self.onehot.indices[self.onehot.indptr[i]:self.onehot.indptr[i + 1]]] = 1.0
+        return (self.onehot @ own) / self.t
 
     def pairwise(self) -> np.ndarray:
         """Phi Phi^T as a dense (n, n) point-kernel matrix."""

@@ -72,6 +72,21 @@ class TestCluster:
         assert set(manifest["timings"]) >= {"fit", "cores", "tree", "assign",
                                             "refine", "total"}
 
+    def test_kpskc_growth_in_manifest_only_for_kpskc(self, blob_csv, tmp_path):
+        out = tmp_path / "kpskc"
+        assert main(cluster_args(blob_csv, out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        growth = manifest["kpskc"]
+        assert set(growth) == {"growth_steps", "scored_sets", "members"}
+        assert all(len(v) == manifest["k_effective"] for v in growth.values())
+        for steps, scored in zip(growth["growth_steps"], growth["scored_sets"]):
+            assert 1 <= scored <= steps
+        assert all(m >= 2 for m in growth["members"])
+        assert sum(growth["members"]) <= 60  # the subset size
+        out2 = tmp_path / "kmeans"
+        assert main(cluster_args(blob_csv, out2, "--clusterer", "kmeans")) == 0
+        assert "kpskc" not in json.loads((out2 / "manifest.json").read_text())
+
     def test_numeric_outputs_byte_identical_across_runs(self, blob_csv, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         main(cluster_args(blob_csv, out1))

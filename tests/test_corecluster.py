@@ -6,11 +6,13 @@ from kernelhc import (
     IdkOps,
     fit_isolation_model,
     ik_dbscan_cores,
+    ikernel,
     kmeans_cores,
     kpskc,
     select_subset,
 )
 from kernelhc.hier import assign_points
+from kernelhc.ikernel import GdkOps
 
 from conftest import oracle_point_vector, rng_data, two_blobs
 
@@ -46,6 +48,77 @@ def oracle_growth(model, X, k, tau, rho):
         clusters.append(sorted(grown))
         remaining = [i for i in remaining if i not in grown]
     return clusters, remaining
+
+
+def full_rescore_kpskc(ops, k, tau, rho):
+    """The growth loop as it was before it skipped work: every round scores
+    every row of ``ops``, and every growth step queries its member set anew.
+    Also returns the seeding rounds run and, per cluster, the member sets a
+    step scored that differ from the set the step before it scored."""
+    m = ops.n
+    remaining = np.arange(m)
+    clusters, warnings, gamma_traces, distinct_sets = [], [], [], []
+    rounds = 0
+    while len(remaining) > 1 and len(clusters) < k:
+        rounds += 1
+        sims_d = ops.point_to_state(ops.group_state(remaining))
+        p = remaining[int(np.argmax(sims_d[remaining]))]
+        row_p = ops.point_row(p)
+        cand = remaining[remaining != p]
+        q = cand[int(np.argmax(row_p[cand]))]
+        gamma = (1.0 - rho) * float(row_p[q])
+        if gamma <= tau:
+            warnings.append(
+                f"seeding stopped at {len(clusters)} of {k} clusters: "
+                f"decayed seed similarity {gamma:.6g} <= tau {tau:.6g}"
+            )
+            break
+        grown = np.array([p, q], dtype=np.int64)
+        trace, scored = [], []
+        while gamma > tau:
+            trace.append(gamma)
+            if not scored or not np.array_equal(scored[-1], grown):
+                scored.append(grown)
+            sims_g = ops.point_to_state(ops.group_state(grown))
+            new = remaining[sims_g[remaining] > gamma]
+            gamma *= 1.0 - rho
+            if len(new) == 0:
+                warnings.append(
+                    f"cluster {len(clusters)}: growth step emptied the member "
+                    "set; kept the previous members"
+                )
+                break
+            grown = new
+        clusters.append(np.sort(grown))
+        gamma_traces.append(np.asarray(trace))
+        distinct_sets.append(len(scored))
+        remaining = remaining[~np.isin(remaining, grown)]
+    if len(clusters) < k and not warnings:
+        warnings.append(f"terminated with {len(clusters)} of {k} requested clusters")
+    return clusters, remaining, warnings, gamma_traces, rounds, distinct_sets
+
+
+def assert_matches_full_rescore(ops, k, tau, rho):
+    """kpskc's outputs equal the full-rescore loop's, bit for bit."""
+    cores = kpskc(ops, k=k, tau=tau, rho=rho)
+    clusters, noise, warnings, traces, rounds, distinct = full_rescore_kpskc(ops, k, tau, rho)
+    assert len(cores.clusters) == len(clusters)
+    for got, want in zip(cores.clusters, clusters):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(cores.noise, noise)
+    assert cores.warnings == warnings
+    assert len(cores.meta["gamma_traces"]) == len(traces)
+    for got, want in zip(cores.meta["gamma_traces"], traces):
+        assert np.array_equal(got, want)
+    assert cores.meta["scored_sets"] == distinct
+    return cores, rounds
+
+
+def collapsed_gdk():
+    """Gaussian backend whose bandwidth dwarfs the data's spread, so the
+    first cluster takes every point and then stops changing while gamma
+    decays to tau (the Gaussian ablation's collapse, in miniature)."""
+    return GdkOps(rng_data(21, n=60), bandwidth=100.0)
 
 
 class TestSelectSubset:
@@ -152,6 +225,61 @@ class TestKpskc:
         )
         labels_kept, _ = assign_points(ops2, cores2)
         assert np.array_equal(labels_full[kept], labels_kept)
+
+
+class TestKpskcSavedWork:
+    """kpskc scores only the residual rows and each distinct member set once;
+    its outputs must equal the loop that rescored everything."""
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_idk_two_blobs(self, k):
+        X, _ = two_blobs(seed=2, n_per=25)
+        _, ops = blob_ops(X)
+        assert_matches_full_rescore(ops, k, tau=0.01, rho=0.1)
+
+    @pytest.mark.parametrize("seed", [8, 9, 10])
+    def test_idk_several_rounds(self, seed):
+        _, ops = blob_ops(rng_data(seed, n=60, spread=4.0), psi=12)
+        cores, rounds = assert_matches_full_rescore(ops, 4, tau=0.05, rho=0.1)
+        assert rounds == 4
+
+    def test_idk_seeding_stopped(self):
+        X, _ = two_blobs(seed=4, n_per=15)
+        _, ops = blob_ops(X)
+        cores, _ = assert_matches_full_rescore(ops, 5, tau=0.5, rho=0.1)
+        assert 1 <= cores.k < 5
+        assert any(w.startswith("seeding stopped") for w in cores.warnings)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gdk_collapsed(self, monkeypatch, workers):
+        monkeypatch.setattr(ikernel, "WORKERS", workers)
+        monkeypatch.setattr(ikernel, "GDK_BLOCK", 8 * 60)  # several row blocks
+        cores, rounds = assert_matches_full_rescore(collapsed_gdk(), 3, tau=0.01, rho=0.1)
+        assert cores.k == 1 and cores.noise.size == 0 and rounds == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_gdk_several_clusters(self, monkeypatch, workers):
+        monkeypatch.setattr(ikernel, "WORKERS", workers)
+        monkeypatch.setattr(ikernel, "GDK_BLOCK", 8 * 60)
+        ops = GdkOps(rng_data(8, n=60, spread=4.0), bandwidth=0.3)
+        cores, rounds = assert_matches_full_rescore(ops, 4, tau=0.01, rho=0.1)
+        assert cores.k == 4 and rounds == 4
+
+    def test_one_query_per_distinct_member_set(self, monkeypatch):
+        ops = collapsed_gdk()
+        _, _, _, traces, rounds, distinct = full_rescore_kpskc(ops, 3, 0.01, 0.1)
+        calls = []
+        original = GdkOps.point_to_state
+
+        def counted(self, state):
+            calls.append(len(state))
+            return original(self, state)
+        monkeypatch.setattr(GdkOps, "point_to_state", counted)
+        cores = kpskc(ops, k=3, tau=0.01, rho=0.1)
+        steps = sum(len(tr) for tr in traces)
+        assert len(calls) == rounds + sum(distinct)
+        assert len(calls) < steps
+        assert cores.meta["scored_sets"] == distinct
 
 
 class TestKmeansCores:

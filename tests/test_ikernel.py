@@ -287,6 +287,15 @@ class TestIdkFeatures:
             assert np.array_equal(K[i], ops.point_row(i))
             assert K[i, 0] == oracle_point_kernel(small_model, X[i], X[0])
 
+    def test_point_row_equals_sparse_product(self, small_model):
+        # duplicates, and one point no cell covers
+        X = np.vstack([rng_data(60, n=20), rng_data(60, n=3), [[1e6, -1e6]]])
+        ops = IdkOps.fit(small_model, X)
+        assert ops.onehot[23].nnz == 0
+        for i in range(len(X)):
+            expected = (ops.onehot @ ops.onehot[i].T).toarray().ravel() / ops.t
+            assert np.array_equal(ops.point_row(i), expected)
+
     def test_ops_set_similarity_is_embedding_dot(self, small_model):
         X = rng_data(61, n=12)
         ops = IdkOps.fit(small_model, X)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelhc import fit_isolation_model, ikernel
+from kernelhc import corecluster, fit_isolation_model, ikernel
 
 from conftest import rng_data
 
@@ -77,3 +77,24 @@ def test_traced_parallel_gdk_counts_one_call(tracer, monkeypatch):
     assert stats["calls"] == 1
     assert stats["rows_scored"] == 100
     assert np.array_equal(sims, untraced)
+
+
+def test_traced_kpskc_counts_one_query_per_distinct_member_set(tracer):
+    # the Gaussian ablation's collapse in miniature: after its first growth
+    # step the one cluster holds every point and stops changing
+    ops = ikernel.GdkOps(rng_data(21, n=60), bandwidth=100.0)
+    untraced = corecluster.kpskc(ops, k=3, tau=0.01, rho=0.1)
+    tr = tracer.Tracer()
+    with tr.installed():
+        cores = corecluster.kpskc(ops, k=3, tau=0.01, rho=0.1)
+    stats = tr.take()
+    steps = sum(len(g) for g in cores.meta["gamma_traces"])
+    assert stats["corecluster.kpskc"]["growth_steps"] == steps
+    # one seeding query for the one round, plus one per distinct member set
+    assert cores.k == 1 and cores.meta["scored_sets"] == [2]
+    assert stats["ikernel.point_to_state"]["calls"] == 1 + 2 < steps
+    assert [c.tolist() for c in cores.clusters] == [c.tolist() for c in untraced.clusters]
+    assert np.array_equal(cores.noise, untraced.noise)
+    assert cores.warnings == untraced.warnings
+    for a, b in zip(cores.meta["gamma_traces"], untraced.meta["gamma_traces"]):
+        assert np.array_equal(a, b)
