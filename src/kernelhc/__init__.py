@@ -7,7 +7,6 @@ from .datasets import LabeledDataset, generate_mixture, load_csv, paper_analog, 
 from .dendro import (
     Dendrogram,
     ahc_build,
-    contract,
     dendrogram_purity,
     topology_equal,
     tsc,

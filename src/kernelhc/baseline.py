@@ -16,23 +16,18 @@ import numpy as np
 from .corecluster import _lloyd
 from .dendro import Dendrogram, Node
 
-SPLIT_RULES = ("largest-sse", "largest-size")
-
 
 @dataclass
 class BisectConfig:
     k: int
     restarts: int = 10
     seed: int = 0
-    split_selection: str = "largest-sse"
 
     def validate(self) -> None:
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.split_selection not in SPLIT_RULES:
-            raise ValueError(f"unknown split rule {self.split_selection!r}")
 
 
 def leaf_sse(X: np.ndarray) -> float:
@@ -73,8 +68,8 @@ def best_two_means(X: np.ndarray, restarts: int, rng):
 def bisect_kmeans(data: np.ndarray, config: BisectConfig) -> Dendrogram:
     """Build a k-leaf dendrogram by repeated 2-means splits.
 
-    The next leaf to split is the one with the largest SSE (or largest
-    size, per config); unsplittable leaves are skipped. Stops early with a
+    The next leaf to split is the one with the largest SSE (ties to the
+    smaller node ID); unsplittable leaves are skipped. Stops early with a
     warning on the returned tree when nothing splittable remains. The
     result is already finalized: leaves carry their point sets.
     """
@@ -91,16 +86,11 @@ def bisect_kmeans(data: np.ndarray, config: BisectConfig) -> Dendrogram:
     warnings = []
     next_id = 1
 
-    def priority(nid: int):
-        if config.split_selection == "largest-size":
-            return (len(rec[nid]["points"]), -nid)
-        return (sse_cache[nid], -nid)
-
     leaves = [0]
     while len(leaves) < config.k:
         candidates = [nid for nid in leaves if len(rec[nid]["points"]) >= 2]
         split_done = False
-        for nid in sorted(candidates, key=priority, reverse=True):
+        for nid in sorted(candidates, key=lambda c: (sse_cache[c], -c), reverse=True):
             pts = rec[nid]["points"]
             result = best_two_means(X[pts], config.restarts, rng)
             if result is None:

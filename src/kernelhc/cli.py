@@ -2,10 +2,10 @@
 
 Subcommands: generate (synthetic datasets), cluster (run a clustering
 algorithm and write tree/assignment artifacts plus a manifest), eval
-(score a saved tree), bench (scaleup timing harness), plot (2-D SVG
-scatter). Exit codes: 0 success, 2 usage or validation error, 1 internal
-error. Every run is reproducible from its manifest: same input and seed
-give byte-identical numeric outputs.
+(score a saved tree) and bench (scaleup timing harness). Exit codes:
+0 success, 2 usage or validation error, 1 internal error. Every run is
+reproducible from its manifest: same input and seed give byte-identical
+numeric outputs.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ from .ikernel import IdkOps, IsolationModel
 MANIFEST_FORMAT = "kernelhc-run-manifest"
 MANIFEST_VERSION = 1
 DEFAULT_OUT_ENV = "KERNELHC_OUT_DIR"
-
-PALETTE = [
-    "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
-    "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
-]
-NOISE_COLOR = "#999999"
 
 
 def _sha256(path) -> str:
@@ -330,54 +324,6 @@ def cmd_bench(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# plot
-# ---------------------------------------------------------------------------
-
-def write_scatter_svg(path, points, labels, width=720, height=540, margin=36):
-    """One circle per point, colored by cluster; label -1 renders gray."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
-
-    def sx(x):
-        return margin + (x - lo[0]) / span[0] * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - lo[1]) / span[1] * (height - 2 * margin)
-
-    uniq = [u for u in np.unique(labels) if u >= 0]
-    color = {u: PALETTE[i % len(PALETTE)] for i, u in enumerate(uniq)}
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for p, lab in zip(points, labels):
-        fill = color.get(lab, NOISE_COLOR) if lab >= 0 else NOISE_COLOR
-        lines.append(
-            f'<circle cx="{sx(p[0]):.2f}" cy="{sy(p[1]):.2f}" r="2.5" '
-            f'fill="{fill}" fill-opacity="0.8"/>'
-        )
-    lines.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def cmd_plot(args) -> int:
-    ds = datasets.load_csv(args.infile, label_column=args.label_col)
-    if ds.d != 2:
-        raise ValueError(f"plotting needs 2-D data, got {ds.d} columns")
-    labels = datasets.load_assignments(args.assignments)
-    if len(labels) != ds.n:
-        raise ValueError(f"{len(labels)} assignments for {ds.n} points")
-    write_scatter_svg(args.out, ds.points, labels)
-    print(f"wrote {args.out}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
 
@@ -437,13 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--restarts", type=int, default=10)
     b.add_argument("--out-dir", default=None)
     b.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("plot", help="2-D scatter SVG colored by cluster")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--label-col", default=None)
-    p.add_argument("--assignments", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_plot)
     return parser
 
 

@@ -252,20 +252,3 @@ def save_assignments(path, assignments: np.ndarray) -> None:
         for i, a in enumerate(np.asarray(assignments)):
             w.writerow([i, int(a)])
 
-
-def load_assignments(path) -> np.ndarray:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise CsvParseError(path, 1, 1, "empty file")
-        out = {}
-        for r, rec in enumerate(reader, start=2):
-            try:
-                out[int(rec[0])] = int(rec[1])
-            except (ValueError, IndexError):
-                raise CsvParseError(path, r, 1, f"bad assignment row: {rec!r}") from None
-    labels = np.full(max(out) + 1, -1, dtype=np.int64)
-    for i, a in out.items():
-        labels[i] = a
-    return labels

@@ -10,7 +10,6 @@ points of the recursion.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,29 +92,3 @@ def wl_embed(graph: AttributedGraph, h: int):
     vertex = np.hstack(gens)
     return vertex, vertex.mean(axis=0)
 
-
-def load_graph(edge_path, attribute_csv_path) -> AttributedGraph:
-    """Edge-list text file (u v [weight], comma or whitespace separated)
-    plus a vertex-attribute CSV with a header row."""
-    attrs = []
-    with open(attribute_csv_path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader)  # header
-        for rec in reader:
-            attrs.append([float(x) for x in rec])
-    edges, weights = [], []
-    with open(edge_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.replace(",", " ").split()
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) > 2 else 1.0
-            edges.append((u, v))
-            weights.append(w)
-    return AttributedGraph(
-        attributes=np.asarray(attrs),
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        weights=np.asarray(weights),
-    )

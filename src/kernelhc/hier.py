@@ -83,7 +83,6 @@ class RunResult:
     orphans: int  # points with zero similarity to every cluster
     warnings: list
     timings: dict
-    config: RunConfig
     model: IsolationModel | None = None
     feats: IdkOps | None = None  # isolation-kernel feature matrix of the data
 
@@ -266,7 +265,6 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
         orphans=orphans,
         warnings=warnings,
         timings=timings,
-        config=config,
         model=model,
         feats=ops if isinstance(ops, IdkOps) else None,
     )

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from kernelhc.dendro import Dendrogram, Node
+
 
 def rng_data(seed, n=40, d=2, spread=1.0):
     rng = np.random.default_rng(seed)
@@ -126,6 +128,42 @@ def oracle_purity(tree, labels):
     if total == 0:
         raise ValueError("no same-label pair")
     return acc / total
+
+
+# ---------------------------------------------------------------------------
+# Tree-contraction oracle
+# ---------------------------------------------------------------------------
+
+def contract(tree: Dendrogram, leaf_a: int, leaf_b: int) -> Dendrogram:
+    """Merge two sibling leaves into their parent; returns a new tree."""
+    a, b = tree.nodes[leaf_a], tree.nodes[leaf_b]
+    if not (a.is_leaf and b.is_leaf):
+        raise ValueError("both arguments must be leaves")
+    if a.parent is None or a.parent != b.parent:
+        raise ValueError("leaves must share a parent")
+    new_nodes = {}
+    for nid, node in tree.nodes.items():
+        if nid in (leaf_a, leaf_b):
+            continue
+        new_nodes[nid] = Node(
+            id=node.id,
+            cluster_ids=node.cluster_ids,
+            left=node.left,
+            right=node.right,
+            parent=node.parent,
+            points=node.points,
+            alpha=node.alpha,
+        )
+    parent = new_nodes[a.parent]
+    parent.left = parent.right = None
+    parent.alpha = None
+    if a.points is not None and b.points is not None:
+        parent.points = np.sort(np.concatenate([a.points, b.points]))
+    return Dendrogram(
+        nodes=new_nodes,
+        root=tree.root,
+        split_order=[nid for nid in tree.split_order if nid != a.parent],
+    )
 
 
 @pytest.fixture

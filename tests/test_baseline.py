@@ -82,8 +82,6 @@ class TestBisectKmeans:
             bisect_kmeans(np.zeros((5, 2)), BisectConfig(k=1))
         with pytest.raises(ValueError):
             bisect_kmeans(np.zeros((5, 2)), BisectConfig(k=2, restarts=0))
-        with pytest.raises(ValueError):
-            bisect_kmeans(np.zeros((5, 2)), BisectConfig(k=2, split_selection="x"))
         with pytest.raises(ValueError, match="at least"):
             bisect_kmeans(np.zeros((3, 2)), BisectConfig(k=4))
 

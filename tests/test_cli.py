@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kernelhc.cli import main
+from kernelhc.cli import build_parser, main
 from kernelhc.datasets import load_csv
 
 SPEC = [
@@ -204,41 +206,33 @@ class TestBench:
         assert rc == 2
 
 
-class TestPlot:
-    def test_svg_has_one_marker_per_point(self, blob_csv, tmp_path):
-        out = tmp_path / "run"
-        main(cluster_args(blob_csv, out))
-        svg = tmp_path / "fig.svg"
-        rc = main(["plot", "--in", str(blob_csv), "--label-col", "label",
-                   "--assignments", str(out / "assignments.csv"),
-                   "--out", str(svg)])
-        assert rc == 0
-        text = svg.read_text()
-        assert text.count("<circle") == 80
-        assert text.startswith("<svg")
+def readme_commands():
+    """Every `kernelhc ...` line in README.md's fenced blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands, fenced, pending = [], False, ""
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            fenced = not fenced
+            continue
+        if not fenced:
+            continue
+        pending += line.strip()
+        if pending.endswith("\\"):
+            pending = pending[:-1] + " "
+            continue
+        if pending.startswith("kernelhc "):
+            commands.append(pending)
+        pending = ""
+    return commands
 
-    def test_color_count_matches_clusters_and_noise_is_gray(self, tmp_path, blob_csv):
-        from kernelhc.cli import NOISE_COLOR
-        from kernelhc.datasets import save_assignments
 
-        labels = np.array([0] * 40 + [1] * 39 + [-1])
-        assign = tmp_path / "assign.csv"
-        save_assignments(assign, labels)
-        svg = tmp_path / "fig.svg"
-        main(["plot", "--in", str(blob_csv), "--label-col", "label",
-              "--assignments", str(assign), "--out", str(svg)])
-        text = svg.read_text()
-        fills = {line.split('fill="')[1].split('"')[0]
-                 for line in text.splitlines() if "<circle" in line}
-        assert len(fills) == 3  # two clusters + gray
-        assert NOISE_COLOR in fills
-
-    def test_non_2d_exits_2(self, tmp_path):
-        path = tmp_path / "d3.csv"
-        path.write_text("x0,x1,x2\n1,2,3\n4,5,6\n")
-        assign = tmp_path / "a.csv"
-        save = __import__("kernelhc.datasets", fromlist=["save_assignments"])
-        save.save_assignments(assign, np.array([0, 1]))
-        rc = main(["plot", "--in", str(path), "--assignments", str(assign),
-                   "--out", str(tmp_path / "f.svg")])
-        assert rc == 2
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert commands
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

@@ -8,7 +8,6 @@ from kernelhc.datasets import (
     UniformBox,
     components_from_spec,
     generate_mixture,
-    load_assignments,
     load_csv,
     paper_analog,
     save_assignments,
@@ -124,4 +123,7 @@ class TestCsv:
         path = tmp_path / "assign.csv"
         labels = np.array([0, 2, 1, 1, -1])
         save_assignments(path, labels)
-        assert np.array_equal(load_assignments(path), labels)
+        assert path.read_text().splitlines()[0] == "index,cluster"
+        table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=np.int64)
+        assert np.array_equal(table[:, 0], np.arange(len(labels)))
+        assert np.array_equal(table[:, 1], labels)

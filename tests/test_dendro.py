@@ -5,7 +5,6 @@ from kernelhc import (
     Dendrogram,
     IdkOps,
     ahc_build,
-    contract,
     dendrogram_purity,
     fit_isolation_model,
     kpskc,
@@ -18,6 +17,7 @@ from kernelhc.baseline import _to_dendrogram
 from kernelhc.dendro import contraction_trace, leaf_labels, single_linkage_tree
 
 from conftest import (
+    contract,
     oracle_mean_pairwise,
     oracle_point_kernel,
     oracle_point_vector,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelhc.graphs import AttributedGraph, load_graph, wl_embed
+from kernelhc.graphs import AttributedGraph, wl_embed
 
 
 def oracle_wl(attrs, edges, weights, h):
@@ -101,15 +101,3 @@ class TestGraphValidation:
             AttributedGraph(attributes=np.zeros((3, 1)),
                             edges=np.array([[0, 1]]), weights=np.array([1.0, 2.0]))
 
-
-class TestGraphIo:
-    def test_load_graph_round_trip(self, tmp_path):
-        attrs_path = tmp_path / "attrs.csv"
-        attrs_path.write_text("a0,a1\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        edges_path = tmp_path / "edges.txt"
-        edges_path.write_text("# comment\n0 1 2.0\n1,2,0.5\n0 2\n")
-        g = load_graph(edges_path, attrs_path)
-        assert g.n_vertices == 3
-        assert g.edges.tolist() == [[0, 1], [1, 2], [0, 2]]
-        assert g.weights.tolist() == [2.0, 0.5, 1.0]
-        assert g.degrees().tolist() == [2, 2, 2]
