@@ -13,7 +13,8 @@ which is what makes set-to-set and point-to-set comparisons cheap.
 
 Everything here is deterministic given (data, psi, t, seed) and immutable
 after construction, so models and feature matrices can be shared freely,
-across threads too: ``IsolationModel.transform`` and ``GdkOps`` run on ``WORKERS`` threads.
+across threads too: ``IsolationModel.transform`` (its exact scans and its GEMM
+screen) and ``GdkOps`` run on ``WORKERS`` threads.
 """
 
 from __future__ import annotations
@@ -55,17 +56,17 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
 
 # Inputs with at least this many features take the GEMM screen in
 # IsolationModel.transform. Seconds for 8,000 Gaussian points, psi=48, t=200,
-# one BLAS thread, best of 3 (ranges over 2-3 runs); exact scan on 2 workers:
-#   d       2     8          12         16         20         24         64
-#   exact   0.27  0.34-0.36  0.46-0.51  0.56-0.60  0.62-0.67  0.70-0.78  1.53
-#   screen  0.57  0.54-0.63  0.57-0.74  0.56-0.64  0.63-0.68  0.63-0.72  0.87
-GEMM_MIN_DIM = 16
-# Largest number of float64 screen scores IsolationModel.transform holds at once.
+# one BLAS thread, best of 3 (ranges over 3 runs); both paths on 2 workers:
+#   d       2          8          12         16         20         24         64
+#   exact   0.18-0.22  0.22-0.32  0.26-0.35  0.39-0.44  0.39-0.47  0.47-0.50  1.06-1.32
+#   screen  0.17-0.23  0.21-0.25  0.19-0.26  0.23-0.26  0.24-0.25  0.25-0.29  0.32-0.34
+GEMM_MIN_DIM = 8
+# Most float64 screen scores IsolationModel.transform holds at once, on all threads.
 SCREEN_BLOCK = 1 << 19
 # Most float64 distances (rows times psi) one exact-scan task holds: 512 KiB, in L2.
 SCAN_BLOCK = 1 << 16
-# Threads for the exact scans and the Gaussian row means (cdist and NumPy's
-# ufuncs and reductions release the GIL): every CPU this process may run on.
+# Threads for the exact scans, the GEMM screen and the Gaussian row means (cdist, BLAS,
+# NumPy's ufuncs and reductions release the GIL): every CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _EPS = np.finfo(np.float64).eps  # 2u, twice the unit roundoff u
 _ETA = np.finfo(np.float64).smallest_subnormal
@@ -119,29 +120,28 @@ def _run_tasks(task, items) -> list:
 # Below the normal range a product may instead err by _ETA / 2 absolutely.
 # E takes 3d products and D_cdist d more, so tol also carries
 # 4 (d + 2) _ETA. A NaN or inf score fails the tests and is ambiguous.
-def _screen_cells(X: np.ndarray, centers: np.ndarray, radii: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """Write the cells the GEMM screen can certify into ``out`` (n, t) and
-    return the (n, t) mask of the pairs it cannot."""
+def _screen_cells(X: np.ndarray, max_sq_c: float, weights: np.ndarray, r2: np.ndarray,
+                  out: np.ndarray, ambiguous: np.ndarray, rows1: np.ndarray,
+                  buf: np.ndarray) -> None:
+    """Write the cells the GEMM screen can certify into ``out`` (n, g) and
+    mark the pairs it cannot in ``ambiguous`` (n, g), for g partitionings.
+
+    ``max_sq_c`` is the largest ||c||^2 over all centers, ``weights`` is
+    [-2c, ||c||^2] of the g * psi centers in hand and ``r2`` their squared radii.
+    ``rows1`` (step, d + 1) ends in a column of ones and ``buf`` (step,
+    g * psi) takes the scores of a block of step rows.
+    """
     n, d = X.shape
-    t, psi = radii.shape
-    flat = centers.reshape(t * psi, d)
-    sq_c = np.einsum("ij,ij->i", flat, flat)
-    # scores ||c||^2 - 2 x.c straight from one GEMM of [x, 1] and [-2c, ||c||^2]
-    weights = np.vstack([-2.0 * flat.T, sq_c])
-    max_sq_c = sq_c.max()
-    r2 = radii * radii
-    parts = np.arange(t)
-    ambiguous = np.empty((n, t), dtype=bool)
-    step = max(1, SCREEN_BLOCK // (t * psi))
-    rows1 = np.ones((step, d + 1))  # [x, 1] rows of the block
-    buf = np.empty((step, t * psi))
+    g, psi = r2.shape
+    step = len(buf)
+    parts = np.arange(g)
     for lo in range(0, n, step):
         xb = X[lo:lo + step]
         b = len(xb)
         sq_x = np.einsum("ij,ij->i", xb, xb)
         rows1[:b, :d] = xb
-        scores = np.matmul(rows1[:b], weights, out=buf[:b]).reshape(b, t, psi)
+        # scores ||c||^2 - 2 x.c straight from one GEMM of [x, 1] and [-2c, ||c||^2]
+        scores = np.matmul(rows1[:b], weights, out=buf[:b]).reshape(b, g, psi)
         nearest = scores.argmin(axis=2)
         pick = nearest[..., None]
         best = np.take_along_axis(scores, pick, axis=2)[..., 0]
@@ -155,7 +155,6 @@ def _screen_cells(X: np.ndarray, centers: np.ndarray, radii: np.ndarray,
                 & np.isfinite(est) & np.isfinite(second))
         out[lo:lo + b] = np.where(est <= rad2, nearest, -1)
         ambiguous[lo:lo + b] = ~sure
-    return ambiguous
 
 
 @dataclass(frozen=True)
@@ -183,15 +182,18 @@ class IsolationModel:
         to the lowest center index.
 
         With at least GEMM_MIN_DIM features, one GEMM per row block scores
-        every center at once and certifies the pairs whose nearest center
-        and radius test are beyond its rounding error; only the remaining
-        pairs are rescanned exactly. Either way the cells are those of the
-        exact ``cdist`` scan, bit for bit.
+        the centers and certifies the pairs whose nearest center and radius
+        test are beyond its rounding error; only the remaining pairs are
+        rescanned exactly. Either way the cells are those of the exact
+        ``cdist`` scan, bit for bit.
 
-        Exact scans run on up to WORKERS threads, one task per row block of
-        at most SCAN_BLOCK distances per partitioning or per partitioning to
-        rescan. A task writes only its own cells, which depend on their rows
-        alone, so the output does not depend on WORKERS or SCAN_BLOCK.
+        Every pass runs on up to WORKERS threads. The screen splits the
+        partitionings into min(WORKERS, t) contiguous groups, one task each,
+        whose row blocks hold SCREEN_BLOCK / groups scores. The exact scan
+        has one task per row block of at most SCAN_BLOCK distances per
+        partitioning, the rescan one per partitioning with pairs left. A
+        task writes only its own cells, which depend on their rows alone,
+        so the output depends on none of WORKERS, SCAN_BLOCK, SCREEN_BLOCK.
         """
         X = _check_matrix(X, "X")
         n, d = X.shape
@@ -206,9 +208,21 @@ class IsolationModel:
                     out[lo:lo + step, i] = _scan_cells(X[lo:lo + step], centers, radii)
             _run_tasks(scan, range(0, n, step))
             return out
-        # The screen stays on this thread: on two threads its GEMMs raised the peak RSS
-        # of transforming 8,000 64-d points from 102 to 117 MiB (a second thread's buffers).
-        ambiguous = _screen_cells(X, self.centers, self.radii, out)
+        groups = min(WORKERS, self.t)
+        ambiguous = np.empty((n, self.t), dtype=bool)
+        r2 = self.radii * self.radii
+        tasks = []  # buffers made on this thread: a worker's freed ones stay in its malloc arena
+        for part in np.array_split(np.arange(self.t), groups):
+            cols = slice(part[0], part[-1] + 1)  # a contiguous group of partitionings
+            flat = self.centers[cols].reshape(-1, d)
+            weights = np.empty((d + 1, len(flat)))
+            np.multiply(flat.T, -2.0, out=weights[:d])
+            np.einsum("ij,ij->i", flat, flat, out=weights[d])
+            step = max(1, SCREEN_BLOCK // groups // len(flat))
+            tasks.append((weights, r2[cols], out[:, cols], ambiguous[:, cols],
+                          np.ones((step, d + 1)), np.empty((step, len(flat)))))
+        max_sq_c = max(weights[d].max() for weights, *_ in tasks)
+        _run_tasks(lambda task: _screen_cells(X, max_sq_c, *task), tasks)
 
         def rescan(i):
             rows = np.flatnonzero(ambiguous[:, i])

@@ -404,14 +404,14 @@ class TestScreen:
         assert screened.shape == exact.shape == (0, 5)
 
 
-def worker_inputs(d):
+def worker_inputs(d, t=15):
     """A fitted model and two queries: 103 Gaussian points (no multiple of
     the small blocks) and 10 distinct points repeated 12 times, whose
     coinciding centers leave many pairs for the screen's rescan."""
     rng = np.random.default_rng(d)
     X = rng.normal(size=(103, d))
     dups = np.repeat(rng.normal(size=(10, d)), 12, axis=0)
-    model = fit_isolation_model(np.vstack([X, dups]), psi=6, t=15, seed=d)
+    model = fit_isolation_model(np.vstack([X, dups]), psi=6, t=t, seed=d)
     return model, {"gaussian": X, "duplicates": dups}
 
 
@@ -433,24 +433,47 @@ def pool_spy(monkeypatch):
 
 
 class TestWorkers:
-    """transform's cells do not depend on WORKERS or SCAN_BLOCK, on either
-    the exact scan (d=2) or the screen (d=GEMM_MIN_DIM)."""
+    """transform's cells do not depend on WORKERS, SCAN_BLOCK or
+    SCREEN_BLOCK, on either the exact scan (d=2) or the screen (d=16)."""
 
-    @pytest.mark.parametrize("d", [2, ikernel.GEMM_MIN_DIM])
+    @pytest.mark.parametrize("d", [2, 16])
     def test_cells_independent_of_workers_and_block(self, monkeypatch, pool_spy, d):
         model, queries = worker_inputs(d)
-        for name, X in queries.items():
-            expected = oracle_cells(model, X)
-            for workers in (1, 2):
-                for block in (3 * model.psi, ikernel.SCAN_BLOCK):  # 3 rows, default
-                    monkeypatch.setattr(ikernel, "WORKERS", workers)
-                    monkeypatch.setattr(ikernel, "SCAN_BLOCK", block)
+        expected = {name: oracle_cells(model, X) for name, X in queries.items()}
+        screen = d >= ikernel.GEMM_MIN_DIM
+        pools = set()
+        for workers in (1, 2, 4):
+            groups = min(workers, model.t)  # 15 partitionings: 15, 8 + 7 or 4 + 4 + 4 + 3
+            if screen:  # 3 rows of the largest group, under one row of scores, default
+                knob = "SCREEN_BLOCK"
+                blocks = (3 * model.psi * -(-model.t // groups) * groups, 5, ikernel.SCREEN_BLOCK)
+            else:  # 3 rows, default
+                knob, blocks = "SCAN_BLOCK", (3 * model.psi, ikernel.SCAN_BLOCK)
+            for block in blocks:
+                monkeypatch.setattr(ikernel, "WORKERS", workers)
+                monkeypatch.setattr(ikernel, knob, block)
+                for name, X in queries.items():
+                    pool_spy.clear()
                     cells = model.transform(X)
                     assert cells.dtype == np.int32 and cells.shape == (len(X), model.t)
-                    assert np.array_equal(cells, expected), (name, workers, block)
-        assert pool_spy and set(pool_spy) == {2}
+                    assert np.array_equal(cells, expected[name]), (name, workers, block)
+                    if screen:  # the screen's pool starts before the rescans' pool
+                        assert pool_spy[:1] == ([groups] if workers > 1 else [])
+                    pools.update(pool_spy)
+        assert pools == {2, 4}
 
-    @pytest.mark.parametrize("d", [2, ikernel.GEMM_MIN_DIM])
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_more_workers_than_partitionings(self, monkeypatch, pool_spy, t):
+        # 8 workers screen 3 partitionings on 3 threads; one partitioning
+        # leaves one task for the screen and one per rescan, so no pool
+        model, queries = worker_inputs(ikernel.GEMM_MIN_DIM, t=t)
+        monkeypatch.setattr(ikernel, "WORKERS", 8)
+        for name, X in queries.items():
+            pool_spy.clear()
+            assert np.array_equal(model.transform(X), oracle_cells(model, X)), name
+            assert pool_spy == [] if t == 1 else pool_spy[0] == t
+
+    @pytest.mark.parametrize("d", [2, 16])
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_tiny_inputs(self, monkeypatch, d, n):
         model, queries = worker_inputs(d)
@@ -475,6 +498,22 @@ class TestWorkers:
         try:
             for _ in range(5):
                 assert np.array_equal(model.transform(X), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_screen_with_fast_switching(self, monkeypatch):
+        # a task writing outside its column group would show as a difference
+        # from the oracle; 8 groups of 2 or 1 partitionings, one row per block
+        model, queries = worker_inputs(ikernel.GEMM_MIN_DIM)
+        expected = {name: oracle_cells(model, X) for name, X in queries.items()}
+        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", 8 * 2 * model.psi)
+        monkeypatch.setattr(ikernel, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                for name, X in queries.items():
+                    assert np.array_equal(model.transform(X), expected[name]), name
         finally:
             sys.setswitchinterval(interval)
 
