@@ -13,8 +13,8 @@ which is what makes set-to-set and point-to-set comparisons cheap.
 
 Everything here is deterministic given (data, psi, t, seed) and immutable
 after construction, so models and feature matrices can be shared freely,
-across threads too: ``IsolationModel.transform`` (its exact scans and its GEMM
-screen) and ``GdkOps`` run on ``WORKERS`` threads.
+across threads too: ``IsolationModel.transform`` (its pruned kd-tree scan, its
+GEMM screen and rescans) and ``GdkOps`` run on ``WORKERS`` threads.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist, pdist
 
 MODEL_FORMAT = "kernelhc-isolation-model"
@@ -55,16 +56,24 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
 
 
 # Inputs with at least this many features take the GEMM screen in
-# IsolationModel.transform. Seconds for 8,000 Gaussian points, psi=48, t=200,
-# one BLAS thread, best of 3 (ranges over 3 runs); both paths on 2 workers:
-#   d       2          8          12         16         20         24         64
-#   exact   0.18-0.22  0.22-0.32  0.26-0.35  0.39-0.44  0.39-0.47  0.47-0.50  1.06-1.32
-#   screen  0.17-0.23  0.21-0.25  0.19-0.26  0.23-0.26  0.24-0.25  0.25-0.29  0.32-0.34
-GEMM_MIN_DIM = 8
+# IsolationModel.transform. Seconds for 8,000 points, psi=48, t=200, one BLAS
+# thread, 2 workers, best of 3 (ranges over 3 runs), on 8 unit Gaussians with
+# centers uniform in [-10, 10]^d (blobs) and on one standard Gaussian (normal):
+#   d              2        3        4        6        8        12       16       24
+#   blobs exact    .14-.24  .19-.20  .18-.22  .19-.19  .23-.41  .26-.39  .33-.41  .33-.34
+#   blobs screen   .23-.27  .24-.27  .25-.30  .27-.28  .26-.47  .27-.54  .28-.30  .32-.56
+#   normal exact   .20-.29  .36-.51  .38-.46  .40-.47  .46-.49  .54-.67  .66-.70  .84-.86
+#   normal screen  .25-.43  .26-.45  .25-.30  .27-.30  .26-.28  .28-.29  .27-.33  .29-.32
+# The pruned exact scan wins on both at d=2 but loses on unclustered data from
+# d=3, where its leaves keep most centers.
+GEMM_MIN_DIM = 3
 # Most float64 screen scores IsolationModel.transform holds at once, on all threads.
 SCREEN_BLOCK = 1 << 19
-# Most float64 distances (rows times psi) one exact-scan task holds: 512 KiB, in L2.
-SCAN_BLOCK = 1 << 16
+# Most rows per kd-tree leaf of the exact scan, and most float64 distances one
+# of its cdist calls holds (2 MiB): a leaf in a sparse region keeps most centers.
+# IdkOps.fit builds Phi in row blocks of as many cells.
+SCAN_LEAF = 128
+SCAN_BLOCK = 1 << 18
 # Threads for the exact scans, the GEMM screen and the Gaussian row means (cdist, BLAS,
 # NumPy's ufuncs and reductions release the GIL): every CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -94,6 +103,26 @@ def _run_tasks(task, items) -> list:
     with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
         return list(pool.map(task, items))
 
+
+def _leaves(node) -> list:
+    """Row indices of each leaf under a cKDTree node."""
+    return [node.indices] if node.split_dim == -1 else _leaves(node.lesser) + _leaves(node.greater)
+
+
+# Why the pruned scan keeps the _scan_cells cells bit for bit. Write |a - b|
+# for an exact distance and u = _EPS / 2. With the error of cdist's squared
+# distance from the screen's argument below, plus u for the root, to first
+# order |cdist(a, b) - |a - b|| <= e |a - b| + z for e = (d + 4) u / 2 and
+# z = sqrt(d _ETA / 2); and cdist(a, b) = cdist(b, a), as x - c = -(c - x).
+# Let p be the midpoint of a kd-tree leaf's box, R the largest cdist(p, x) over
+# its rows x, c* p's nearest center in a partitioning and m = cdist(p, c*). If
+# cdist picks c for x, cdist(x, c) <= cdist(x, c*) and, up to those errors,
+# |p - c| <= |p - x| + |x - c| <= 2R + m: cdist(p, c) <= (1 + 4e)(m + 2R) + 6z.
+# The scan keeps every c with cdist(p, c) <= (m + 2R)(1 + 8e) + 8 sqrt(d _ETA),
+# which also covers the higher orders and the three roundings of the bound. A
+# center that is not kept is farther than c* from every row. A cdist value
+# depends only on its own pair of rows, and the kept centers come first in
+# ascending index order, so the first at the minimum is _scan_cells's argmin.
 
 # Why a screened cell equals the _scan_cells one bit for bit. Write D for
 # the exact ||x - c||^2, M = max ||c||^2 over all centers, u = _EPS / 2 the
@@ -181,19 +210,17 @@ class IsolationModel:
         its nearest center per partitioning, so cells never overlap; ties go
         to the lowest center index.
 
-        With at least GEMM_MIN_DIM features, one GEMM per row block scores
-        the centers and certifies the pairs whose nearest center and radius
-        test are beyond its rounding error; only the remaining pairs are
-        rescanned exactly. Either way the cells are those of the exact
-        ``cdist`` scan, bit for bit.
+        Below GEMM_MIN_DIM features, the rows go to the leaves of a kd-tree
+        (at most SCAN_LEAF rows each) and each leaf is scanned with ``cdist``
+        against only the centers that can be nearest to one of its rows. From
+        GEMM_MIN_DIM up, one GEMM per row block scores the centers and
+        certifies the pairs beyond its rounding error; the rest are rescanned.
+        Either way the cells are those of the full ``cdist`` scan, bit for bit;
+        the arguments are in comments above _screen_cells.
 
-        Every pass runs on up to WORKERS threads. The screen splits the
-        partitionings into min(WORKERS, t) contiguous groups, one task each,
-        whose row blocks hold SCREEN_BLOCK / groups scores. The exact scan
-        has one task per row block of at most SCAN_BLOCK distances per
-        partitioning, the rescan one per partitioning with pairs left. A
-        task writes only its own cells, which depend on their rows alone,
-        so the output depends on none of WORKERS, SCAN_BLOCK, SCREEN_BLOCK.
+        Every pass runs on up to WORKERS threads, in tasks that write only
+        their own cells; a cell depends on its row alone, so the output
+        depends on none of WORKERS, SCAN_LEAF, SCAN_BLOCK, SCREEN_BLOCK.
         """
         X = _check_matrix(X, "X")
         n, d = X.shape
@@ -201,12 +228,37 @@ class IsolationModel:
             raise ValueError(f"expected {self.centers.shape[2]} features, got {d}")
         out = np.empty((n, self.t), dtype=np.int32)
         if d < GEMM_MIN_DIM:
-            step = max(1, SCAN_BLOCK // self.psi)
+            leaves = _leaves(cKDTree(X, leafsize=SCAN_LEAF).tree) if n else []
+            flat = self.centers.reshape(-1, d)
+            offs, parts = np.arange(self.t) * self.psi, np.arange(self.t)[:, None]
+            grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
+            groups = min(WORKERS, len(leaves))
 
-            def scan(lo):  # every partitioning of one row block
-                for i, (centers, radii) in enumerate(zip(self.centers, self.radii)):
-                    out[lo:lo + step, i] = _scan_cells(X[lo:lo + step], centers, radii)
-            _run_tasks(scan, range(0, n, step))
+            def scan(task):  # every partitioning of the leaves first, first + groups, ...
+                first, near, buf = task
+                for rows in leaves[first::groups]:
+                    box = X[rows]
+                    p = (box.min(axis=0) + box.max(axis=0))[None] / 2
+                    dp = cdist(p, flat, out=near).reshape(self.t, self.psi)
+                    reach = 2 * cdist(p, box).max()
+                    keep = dp <= ((dp.min(axis=1) + reach) * grow + floor)[:, None]
+                    k = keep.sum(axis=1).max()  # (k, t) centers, the kept ones first
+                    idx = np.argsort(~keep, axis=1, kind="stable")[:, :k].T
+                    sub = flat[(idx + offs).ravel()]
+                    step = max(1, SCAN_BLOCK // len(sub))
+                    for lo in range(0, len(rows), step):
+                        xb = box[lo:lo + step]
+                        dist = cdist(sub, xb, out=buf[:len(sub) * len(xb)].reshape(-1, len(xb)))
+                        dist = dist.reshape(k, self.t, -1)
+                        best = dist.min(axis=0)
+                        pos = np.empty(best.shape, np.intp)
+                        for j in range(k - 1, -1, -1):  # the first kept center at the minimum
+                            np.copyto(pos, j, where=dist[j] == best)
+                        cell = idx[pos, parts]
+                        covered = best <= self.radii[parts, cell]
+                        out[rows[lo:lo + step]] = np.where(covered, cell, -1).T
+            _run_tasks(scan, [(g, np.empty((1, len(flat))), np.empty(max(SCAN_BLOCK, len(flat))))
+                              for g in range(groups)])
             return out
         groups = min(WORKERS, self.t)
         ambiguous = np.empty((n, self.t), dtype=bool)
@@ -339,9 +391,15 @@ class IdkOps:
         # row-major order keeps each row's columns sorted by partitioning; the
         # (n, t) tables go before Phi's data arrives, or they set a job's peak memory
         cells += np.arange(t, dtype=np.int32) * model.psi
-        # compress on the flat views is the boolean mask's gather without its
-        # index array, and about 3x faster at n = 24,000, t = 200
-        indices = np.compress(covered.ravel(), cells.ravel())
+        # compress on flat views beats the boolean mask's gather about 3x at
+        # n = 24,000, t = 200, but indexes what it keeps with int64: in row blocks
+        # of SCAN_BLOCK cells that index stays small instead of twice the output
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        step = max(1, SCAN_BLOCK // t)
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            np.compress(covered[lo:hi].ravel(), cells[lo:hi].ravel(),
+                        out=indices[indptr[lo]:indptr[hi]])
         del cells, covered
         onehot = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
                                    shape=(n, t * model.psi))

@@ -259,16 +259,19 @@ def test_kme_identity_property(seed, psi, t):
 class TestIdkFeatures:
     """Batch queries of the IdkOps feature matrix."""
 
-    def test_cells_match_oracle(self, small_model):
+    def test_cells_match_oracle(self, small_model, monkeypatch):
         X = rng_data(47, n=12)
         expected = oracle_cells(small_model, X)
         assert np.array_equal(small_model.transform(X), expected)
-        ops = IdkOps.fit(small_model, X)
-        cells = np.full_like(expected, -1)
-        for i in range(12):
-            cols = ops.onehot[i].indices
-            cells[i, cols // small_model.psi] = cols % small_model.psi
-        assert np.array_equal(cells, expected)
+        for block in (5 * small_model.t, ikernel.SCAN_BLOCK):  # Phi in 3 row blocks or 1
+            monkeypatch.setattr(ikernel, "SCAN_BLOCK", block)
+            ops = IdkOps.fit(small_model, X)
+            cells = np.full_like(expected, -1)
+            for i in range(12):
+                cols = ops.onehot[i].indices
+                cells[i, cols // small_model.psi] = cols % small_model.psi
+            assert np.array_equal(cells, expected)
+            assert np.array_equal(ops.onehot.indptr, np.cumsum([0, *(expected >= 0).sum(axis=1)]))
 
     def test_batch_similarities_match_single_point_op(self, small_model):
         X = rng_data(53, n=10)
@@ -371,13 +374,14 @@ class TestScreen:
         rng = np.random.default_rng(3)
         X = np.repeat(rng.normal(size=(10, 64)), 20, axis=0)
         model = fit_isolation_model(X, psi=16, t=20, seed=5)
+        exact = cells_both_ways(model, X)[0]
         rescanned = []
         scan = ikernel._scan_cells
         monkeypatch.setattr(ikernel, "_scan_cells",
                             lambda Xr, c, r: rescanned.append(len(Xr)) or scan(Xr, c, r))
-        exact, screened = cells_both_ways(model, X)
+        screened = model.transform(X)  # d=64: the screen, whose rescans alone are counted
         assert np.array_equal(screened, exact)
-        fallback = sum(rescanned) - len(X) * model.t  # the exact pass scans every pair
+        fallback = sum(rescanned)
         assert 0 < fallback < len(X) * model.t
 
     def test_screen_blocks_match(self, monkeypatch):
@@ -402,6 +406,92 @@ class TestScreen:
         model = fit_isolation_model(rng_data(1, n=20, d=16), psi=4, t=5, seed=0)
         exact, screened = cells_both_ways(model, np.empty((0, 16)))
         assert screened.shape == exact.shape == (0, 5)
+
+
+def full_scan(model, X):
+    """The unpruned exact scan: _scan_cells against every center of every
+    partitioning."""
+    return np.stack([ikernel._scan_cells(X, c, r) for c, r in zip(model.centers, model.radii)],
+                    axis=1)
+
+
+@st.composite
+def pruned_cases(draw):
+    """A model and queries for the pruned exact scan, on its edges:
+    duplicates (single-point and zero-size leaves), integer grids whose
+    centers tie, the model's own centers, points at a radius, subnormal and
+    huge scales, n under one leaf and psi near n; plus leaf and block sizes."""
+    d = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["duplicates", "grid", "gaussian"]))
+    seed = draw(st.integers(0, 2**20))
+    n = draw(st.integers(4, 60))
+    rng = np.random.default_rng(seed)
+    if kind == "duplicates":
+        distinct = rng.normal(size=(draw(st.integers(1, 4)), d))
+        X = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "grid":
+        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        X = rng.normal(size=(n, d))
+    X = X * draw(st.sampled_from([1.0, 1e-162, 1e-160, 1e150]))
+    psi = draw(st.one_of(st.integers(2, 4), st.integers(max(2, n - 2), n)))
+    model = fit_isolation_model(X, psi=psi, t=draw(st.integers(1, 6)), seed=seed)
+    queries = np.vstack([X, model.centers.reshape(-1, d), edge_points(model)])
+    leaf = draw(st.sampled_from([1, 2, 5, ikernel.SCAN_LEAF]))
+    block = draw(st.sampled_from([1, 7 * model.t, ikernel.SCAN_BLOCK]))
+    return model, queries, leaf, block
+
+
+class TestPrunedScan:
+    """transform's exact scan of each kd-tree leaf against the centers that
+    can be nearest equals the full _scan_cells scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=pruned_cases())
+    def test_pruned_scan_equals_full_scan(self, case):
+        model, X, leaf, block = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ikernel, "GEMM_MIN_DIM", X.shape[1] + 1)
+            mp.setattr(ikernel, "SCAN_LEAF", leaf)
+            mp.setattr(ikernel, "SCAN_BLOCK", block)
+            cells = model.transform(X)
+        assert cells.dtype == np.int32 and cells.shape == (len(X), model.t)
+        assert np.array_equal(cells, full_scan(model, X))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-162, 1e150])
+    @pytest.mark.parametrize("d", [2, 5, 7])
+    def test_cdist_of_a_center_subset_is_the_full_cdist(self, d, scale):
+        # the scan relies on a pair's cdist value not depending on the other
+        # rows and columns of the call, on their order, on repeats, on the
+        # argument order or on out=
+        rng = np.random.default_rng(d)
+        X, C = rng.normal(size=(37, d)) * scale, rng.normal(size=(29, d)) * scale
+        full = cdist(X, C)
+        cols = np.concatenate([rng.permutation(29)[:11], rng.integers(0, 29, size=14)])
+        assert np.array_equal(cdist(X, C[cols]), full[:, cols])
+        assert np.array_equal(cdist(C[cols], X[5:18]), full[5:18, cols].T)
+        out = np.empty((len(cols), 13))
+        assert cdist(C[cols], X[5:18], out=out) is out
+        assert np.array_equal(out, full[5:18, cols].T)
+
+    def test_leaf_is_split_into_calls_of_at_most_scan_block(self, monkeypatch):
+        # one leaf of 60 rows; each call holds at most SCAN_BLOCK distances,
+        # and the calls cover every row once
+        X = np.random.default_rng(2).normal(size=(60, 2))
+        model = fit_isolation_model(X, psi=10, t=4, seed=2)
+        sizes, rows = [], []
+        real = ikernel.cdist
+
+        def spy(a, b, out=None):
+            if out is not None and len(a) > 1:  # a leaf's rows against its kept centers
+                sizes.append(out.size)
+                rows.append(len(b))
+            return real(a, b, out=out) if out is not None else real(a, b)
+        monkeypatch.setattr(ikernel, "cdist", spy)
+        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 3 * model.t * model.psi)
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert len(sizes) > 1 and max(sizes) <= ikernel.SCAN_BLOCK
+        assert sum(rows) == len(X)
 
 
 def worker_inputs(d, t=15):
@@ -433,7 +523,7 @@ def pool_spy(monkeypatch):
 
 
 class TestWorkers:
-    """transform's cells do not depend on WORKERS, SCAN_BLOCK or
+    """transform's cells do not depend on WORKERS, SCAN_LEAF, SCAN_BLOCK or
     SCREEN_BLOCK, on either the exact scan (d=2) or the screen (d=16)."""
 
     @pytest.mark.parametrize("d", [2, 16])
@@ -447,8 +537,8 @@ class TestWorkers:
             if screen:  # 3 rows of the largest group, under one row of scores, default
                 knob = "SCREEN_BLOCK"
                 blocks = (3 * model.psi * -(-model.t // groups) * groups, 5, ikernel.SCREEN_BLOCK)
-            else:  # 3 rows, default
-                knob, blocks = "SCAN_BLOCK", (3 * model.psi, ikernel.SCAN_BLOCK)
+            else:  # leaves of at most 3 rows, default
+                knob, blocks = "SCAN_LEAF", (3, ikernel.SCAN_LEAF)
             for block in blocks:
                 monkeypatch.setattr(ikernel, "WORKERS", workers)
                 monkeypatch.setattr(ikernel, knob, block)
@@ -478,7 +568,7 @@ class TestWorkers:
     def test_tiny_inputs(self, monkeypatch, d, n):
         model, queries = worker_inputs(d)
         X = queries["gaussian"][:n]
-        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 3 * model.psi)
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 3)
         single = model.transform(X)
         monkeypatch.setattr(ikernel, "WORKERS", 2)
         assert single.shape == (n, model.t)
@@ -487,11 +577,13 @@ class TestWorkers:
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
         # a lost or misplaced write of a shared output would show as a
-        # difference from the inline scan; one row per task, 8 threads
+        # difference from the inline scan; one row per leaf and per cdist
+        # call, 8 threads
         model, queries = worker_inputs(2)
         X = queries["gaussian"]
         expected = model.transform(X)
-        monkeypatch.setattr(ikernel, "SCAN_BLOCK", model.psi)
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 1)
+        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 1)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -520,10 +612,10 @@ class TestWorkers:
     def test_single_block_starts_no_pool(self, monkeypatch, pool_spy):
         model, queries = worker_inputs(2)
         monkeypatch.setattr(ikernel, "WORKERS", 2)
-        model.transform(queries["gaussian"])  # 103 rows, one default block
+        model.transform(queries["gaussian"])  # 103 rows, one default leaf
         assert pool_spy == []
-        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 50 * model.psi)
-        model.transform(queries["gaussian"])  # three blocks
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 60)
+        model.transform(queries["gaussian"])  # two leaves
         assert pool_spy == [2]
 
 

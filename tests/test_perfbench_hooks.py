@@ -45,12 +45,12 @@ def test_traced_transform_returns_int32_cells(tracer, d):
 
 
 def test_traced_parallel_transform_counts_one_call(tracer, monkeypatch):
-    # the row blocks run on a pool inside transform, so the wrapper around
+    # the kd-tree leaves run on a pool inside transform, so the wrapper around
     # transform sees one call over all points, whatever the worker count
     X = rng_data(4, n=100, d=2)
     model = fit_isolation_model(X, psi=5, t=7, seed=0)
     monkeypatch.setattr(ikernel, "WORKERS", 2)
-    monkeypatch.setattr(ikernel, "SCAN_BLOCK", 8 * model.psi)  # 13 blocks
+    monkeypatch.setattr(ikernel, "SCAN_LEAF", 8)  # 16 leaves
     untraced = model.transform(X)
     tr = tracer.Tracer()
     with tr.installed():
