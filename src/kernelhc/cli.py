@@ -11,6 +11,7 @@ numeric outputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -142,6 +143,7 @@ def cmd_cluster(args) -> int:
         if result.feats is not None:
             dendro.annotate_alphas(tree, result.feats)
             extra["transform_workers"] = ikernel.WORKERS
+            extra["kernel_coverage"] = result.feats.onehot.nnz / (result.feats.n * result.feats.t)
         if args.clusterer == "kpskc":
             meta = result.cores.meta
             extra["kpskc"] = {"growth_steps": [len(g) for g in meta["gamma_traces"]],
@@ -213,7 +215,9 @@ def cmd_eval(args) -> int:
     if "tsc" in wanted:
         if not (args.infile and args.model):
             raise ValueError("--in and --model are required for tsc")
-        ds = datasets.load_csv(args.infile, label_column=args.label_col)
+        with open(args.infile, newline="") as f:  # unlabeled input is the usual case
+            labeled = args.label_col in next(csv.reader(f), [])
+        ds = datasets.load_csv(args.infile, label_column=args.label_col if labeled else None)
         model = IsolationModel.load(args.model)
         ops = IdkOps.fit(model, ds.points)
         report["tsc"] = dendro.tsc(tree, ops)

@@ -13,8 +13,9 @@ which is what makes set-to-set and point-to-set comparisons cheap.
 
 Everything here is deterministic given (data, psi, t, seed) and immutable
 after construction, so models and feature matrices can be shared freely,
-across threads too: ``IsolationModel.transform`` (its pruned kd-tree scan, its
-GEMM screen and rescans) and ``GdkOps`` run on ``WORKERS`` threads.
+across threads too: ``IsolationModel.transform`` (its exact scan or GEMM
+screen of kd-tree leaves, and the rescans) and ``GdkOps`` run on ``WORKERS``
+threads.
 """
 
 from __future__ import annotations
@@ -59,19 +60,19 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
 # IsolationModel.transform. Seconds for 8,000 points, psi=48, t=200, one BLAS
 # thread, 2 workers, best of 3 (ranges over 3 runs), on 8 unit Gaussians with
 # centers uniform in [-10, 10]^d (blobs) and on one standard Gaussian (normal):
-#   d              2        3        4        6        8        12       16       24
-#   blobs exact    .14-.24  .19-.20  .18-.22  .19-.19  .23-.41  .26-.39  .33-.41  .33-.34
-#   blobs screen   .23-.27  .24-.27  .25-.30  .27-.28  .26-.47  .27-.54  .28-.30  .32-.56
-#   normal exact   .20-.29  .36-.51  .38-.46  .40-.47  .46-.49  .54-.67  .66-.70  .84-.86
-#   normal screen  .25-.43  .26-.45  .25-.30  .27-.30  .26-.28  .28-.29  .27-.33  .29-.32
-# The pruned exact scan wins on both at d=2 but loses on unclustered data from
-# d=3, where its leaves keep most centers.
+#   d              2        3        4        6        8        12       16       24       64
+#   blobs exact    .10-.15  .14-.19  .12-.16  .12-.17  .20-.21  .23-.24  .24-.28  .15-.21  .46-.50
+#   blobs screen   .10-.11  .10-.12  .11-.13  .10-.12  .11-.13  .12-.14  .12-.14  .10-.12  .14-.16
+#   normal exact   .14-.16  .26-.31  .37-.38  .36-.41  .42-.44  .46-.52  .52-.63  .63-.74  1.46-1.49
+#   normal screen  .11-.12  .19-.20  .21-.22  .19-.23  .20-.25  .18-.21  .20-.28  .21-.24  .26-.38
+# Both scan the same kd-tree leaves. The screen leads at every d, but at d=2 on
+# the 2-d benchmarks' analog mixture (n=24,000) exact .20-.26 ties screen .22-.29.
 GEMM_MIN_DIM = 3
-# Most float64 screen scores IsolationModel.transform holds at once, on all threads.
+# Most float64 scores and gathered weights the screen holds at once, on all threads.
 SCREEN_BLOCK = 1 << 19
-# Most rows per kd-tree leaf of the exact scan, and most float64 distances one
-# of its cdist calls holds (2 MiB): a leaf in a sparse region keeps most centers.
-# IdkOps.fit builds Phi in row blocks of as many cells.
+# Most rows per kd-tree leaf of the transform, and most float64 distances one
+# of the exact scan's cdist calls holds (2 MiB): a leaf in a sparse region keeps
+# most centers. IdkOps.fit builds Phi in row blocks of as many cells.
 SCAN_LEAF = 128
 SCAN_BLOCK = 1 << 18
 # Threads for the exact scans, the GEMM screen and the Gaussian row means (cdist, BLAS,
@@ -109,20 +110,43 @@ def _leaves(node) -> list:
     return [node.indices] if node.split_dim == -1 else _leaves(node.lesser) + _leaves(node.greater)
 
 
-# Why the pruned scan keeps the _scan_cells cells bit for bit. Write |a - b|
+def _kept_groups(keep: np.ndarray) -> list:
+    """A leaf's partitionings in one or two groups, each with the (k, g) indices
+    of the centers to score: a partitioning's kept centers in ascending order,
+    padded to the group's largest kept count with its later unkept centers. The
+    partitionings go in ascending kept count, cut where the padding is least."""
+    count = keep.sum(axis=1)
+    order = np.argsort(count, kind="stable")
+    size, cut = count[order], np.arange(len(keep), 0, -1)  # one group on ties
+    cut = cut[(cut * size[cut - 1] + (len(keep) - cut) * size[-1]).argmin()]
+    return [(part, np.argsort(~keep[part], axis=1, kind="stable")[:, :count[part].max()].T.astype(np.int32))
+            for part in (np.sort(order[:cut]), np.sort(order[cut:])) if len(part)]
+
+
+# Why a leaf keeps every center cdist can pick for one of its rows. Write |a - b|
 # for an exact distance and u = _EPS / 2. With the error of cdist's squared
 # distance from the screen's argument below, plus u for the root, to first
 # order |cdist(a, b) - |a - b|| <= e |a - b| + z for e = (d + 4) u / 2 and
 # z = sqrt(d _ETA / 2); and cdist(a, b) = cdist(b, a), as x - c = -(c - x).
-# Let p be the midpoint of a kd-tree leaf's box, R the largest cdist(p, x) over
-# its rows x, c* p's nearest center in a partitioning and m = cdist(p, c*). If
-# cdist picks c for x, cdist(x, c) <= cdist(x, c*) and, up to those errors,
-# |p - c| <= |p - x| + |x - c| <= 2R + m: cdist(p, c) <= (1 + 4e)(m + 2R) + 6z.
-# The scan keeps every c with cdist(p, c) <= (m + 2R)(1 + 8e) + 8 sqrt(d _ETA),
-# which also covers the higher orders and the three roundings of the bound. A
-# center that is not kept is farther than c* from every row. A cdist value
-# depends only on its own pair of rows, and the kept centers come first in
-# ascending index order, so the first at the minimum is _scan_cells's argmin.
+# Let p be the midpoint of a leaf's box, R the largest cdist(p, x) over its
+# rows x, c* any center of a partitioning and m = cdist(p, c*). If cdist picks
+# c for x, cdist(x, c) <= cdist(x, c*) and, up to those errors, |p - c| <=
+# |p - x| + |x - c| <= 2R + m: cdist(p, c) <= (1 + 4e)(m + 2R) + 6z. So c is
+# kept, and a center not kept is farther than c* from every row: the padding
+# never holds the minimum.
+#  - Exact scan: c* is p's nearest center, and a leaf keeps every c with
+#    cdist(p, c) <= (m + 2R)(1 + 8e) + 8 sqrt(d _ETA), which also covers the
+#    higher orders and the three roundings of the bound. A cdist value depends
+#    only on its own pair of rows, and the kept centers come first in ascending
+#    index order, so the first at the minimum is _scan_cells's argmin.
+#  - Screen: p's screened squares E (below, x = p) are within tol_p / 2 of
+#    cdist's; c* has the least, E*, so m <= (1 + u) sqrt(E* + tol_p / 2), and
+#    E(c) < (cdist(p, c) / (1 - u))^2 + tol_p / 2. A leaf keeps every c with
+#    E(c) <= ((sqrt(E* + tol_p) + 2R)(1 + 8e) + 8 sqrt(d _ETA))^2 + tol_p; as
+#    4e >= 10u, that covers the seven roundings of the bound too. A row's
+#    scored centers hold its cdist argmin, so the best of them that
+#    _screen_cells certifies is the argmin over all psi centers: its tolerance
+#    takes M over all centers, so it holds for any subset of them.
 
 # Why a screened cell equals the _scan_cells one bit for bit. Write D for
 # the exact ||x - c||^2, M = max ||c||^2 over all centers, u = _EPS / 2 the
@@ -131,16 +155,18 @@ def _leaves(node) -> list:
 #  - cdist rounds x_k - c_k, its square and d - 1 sums:
 #    |D_cdist - D| <= (d + 2) u D <= (d + 2) u * 2 (||x||^2 + ||c||^2).
 #  - The screen rounds ||x||^2 and ||c||^2 (d u each), the length-(d + 1)
-#    GEMM row [x, 1] . [-2c, ||c||^2] ((d + 1) u times the sum of the
+#    GEMM row [-2c, ||c||^2] . [x, 1] ((d + 1) u times the sum of the
 #    absolute products, which is at most ||x||^2 + 2 ||c||^2) and the final
 #    ||x||^2 + s (u D): |E - D| <= (2d + 3) u ||x||^2 + (3d + 4) u ||c||^2.
 #  Together |E - D_cdist| < 4 (d + 2) u (||x||^2 + 3M) = tol / 2 for
 #    tol = 4 (d + 2) _EPS (||x||^2 + 3M).
-#  - Nearest center: if the screen's best and second-best scores are more
-#    than 2 tol apart, every other D_cdist exceeds the best one by more than
-#    tol >= 16 u (||x||^2 + 3M) > 7 u D_cdist(best), enough that their
-#    correctly rounded square roots differ. So cdist's argmin is the same
-#    center, with no tie.
+#  - Nearest center: the screen counts the scores at most fl(b + 2 tol), b
+#    the best one. |b| <= ||x||^2 + 2M, so fl(b + 2 tol) falls short of
+#    b + 2 tol by less than u (||x||^2 + 3M) + 3 u tol < tol / 10. If b alone
+#    is counted, every other score exceeds it by more than 1.9 tol, and every
+#    other D_cdist exceeds the best one by more than 0.9 tol >= 14 u
+#    (||x||^2 + 3M) > 7 u D_cdist(best), enough that their correctly rounded
+#    square roots differ. So cdist's argmin is the same center, with no tie.
 #  - Radius: r is a float and r2 = fl(r * r) is within u r^2 of r^2. If
 #    E < r2 - tol - 4 _EPS r2, then D_cdist < r^2 and sqrt rounds to at most
 #    r; if E > r2 + tol + 4 _EPS r2, then D_cdist > (r (1 + u))^2 and sqrt
@@ -148,42 +174,30 @@ def _leaves(node) -> list:
 #    which is at most u (2 ||x||^2 + 6M) because r^2 <= 4M.
 # Below the normal range a product may instead err by _ETA / 2 absolutely.
 # E takes 3d products and D_cdist d more, so tol also carries
-# 4 (d + 2) _ETA. A NaN or inf score fails the tests and is ambiguous.
-def _screen_cells(X: np.ndarray, max_sq_c: float, weights: np.ndarray, r2: np.ndarray,
-                  out: np.ndarray, ambiguous: np.ndarray, rows1: np.ndarray,
-                  buf: np.ndarray) -> None:
-    """Write the cells the GEMM screen can certify into ``out`` (n, g) and
-    mark the pairs it cannot in ``ambiguous`` (n, g), for g partitionings.
-
-    ``max_sq_c`` is the largest ||c||^2 over all centers, ``weights`` is
-    [-2c, ||c||^2] of the g * psi centers in hand and ``r2`` their squared radii.
-    ``rows1`` (step, d + 1) ends in a column of ones and ``buf`` (step,
-    g * psi) takes the scores of a block of step rows.
-    """
-    n, d = X.shape
-    g, psi = r2.shape
-    step = len(buf)
-    parts = np.arange(g)
-    for lo in range(0, n, step):
-        xb = X[lo:lo + step]
-        b = len(xb)
-        sq_x = np.einsum("ij,ij->i", xb, xb)
-        rows1[:b, :d] = xb
-        # scores ||c||^2 - 2 x.c straight from one GEMM of [x, 1] and [-2c, ||c||^2]
-        scores = np.matmul(rows1[:b], weights, out=buf[:b]).reshape(b, g, psi)
-        nearest = scores.argmin(axis=2)
-        pick = nearest[..., None]
-        best = np.take_along_axis(scores, pick, axis=2)[..., 0]
-        np.put_along_axis(scores, pick, np.inf, axis=2)
-        second = scores.min(axis=2)
-        est = sq_x[:, None] + best
-        rad2 = r2[parts, nearest]
-        tol = (4 * (d + 2) * (_EPS * (sq_x + 3 * max_sq_c) + _ETA))[:, None]
-        sure = ((second - best > 2 * tol)
-                & (np.abs(est - rad2) > tol + 4 * _EPS * rad2)
-                & np.isfinite(est) & np.isfinite(second))
-        out[lo:lo + b] = np.where(est <= rad2, nearest, -1)
-        ambiguous[lo:lo + b] = ~sure
+# 4 (d + 2) _ETA. Scores are finite (_check_matrix); a NaN is never counted.
+def _screen_cells(scores: np.ndarray, sq_x: np.ndarray, tol: np.ndarray, idx: np.ndarray,
+                  r2: np.ndarray) -> np.ndarray:
+    """Cells (g, b) of b rows in g partitionings from their scores (k, g, b)
+    against the centers idx (k, g), of squared radii r2 (g, psi); -2 where
+    the screen cannot certify the cell. Overwrites the scores."""
+    k, g, b = scores.shape
+    est = scores.min(axis=0)  # the best score, then ||x||^2 + best, in place
+    low = np.less_equal(scores, est + 2 * tol, out=scores).reshape(k, -1)  # 1.0 within 2 tol of the best
+    # per pair, whether only the best score lies within 2 tol of it, and the
+    # summed positions of the scores that do: the best's when it is alone
+    alone = (np.add.reduce(low, axis=0) == 1).reshape(g, b)
+    pos = np.arange(k) @ low
+    cell = idx[np.minimum(pos, k - 1, out=pos).astype(np.int32).reshape(g, b), np.arange(g)[:, None]]
+    del pos
+    est += sq_x
+    rad2 = r2[np.arange(g)[:, None], cell]
+    np.copyto(cell, -1, where=est > rad2)
+    est -= rad2
+    np.abs(est, out=est)
+    rad2 *= 4 * _EPS
+    rad2 += tol
+    np.copyto(cell, -2, where=~(alone & (est > rad2)))
+    return cell
 
 
 @dataclass(frozen=True)
@@ -210,76 +224,94 @@ class IsolationModel:
         its nearest center per partitioning, so cells never overlap; ties go
         to the lowest center index.
 
-        Below GEMM_MIN_DIM features, the rows go to the leaves of a kd-tree
-        (at most SCAN_LEAF rows each) and each leaf is scanned with ``cdist``
-        against only the centers that can be nearest to one of its rows. From
-        GEMM_MIN_DIM up, one GEMM per row block scores the centers and
-        certifies the pairs beyond its rounding error; the rest are rescanned.
-        Either way the cells are those of the full ``cdist`` scan, bit for bit;
-        the arguments are in comments above _screen_cells.
-
-        Every pass runs on up to WORKERS threads, in tasks that write only
-        their own cells; a cell depends on its row alone, so the output
-        depends on none of WORKERS, SCAN_LEAF, SCAN_BLOCK, SCREEN_BLOCK.
+        A kd-tree leaf (at most SCAN_LEAF rows) scores only the centers that can
+        be nearest to one of its rows, in two groups of partitionings padded
+        to their largest kept count: with ``cdist`` below GEMM_MIN_DIM
+        features, else with a GEMM that certifies the pairs beyond its rounding
+        error and leaves the rest to a rescan of all psi centers. Either way the
+        cells are the full ``cdist`` scan's, bit for bit (comments above
+        _screen_cells). Leaves and rescans run on up to WORKERS threads, in
+        tasks that write only their own cells; a cell depends on its row alone,
+        so none of WORKERS, SCAN_LEAF, SCAN_BLOCK, SCREEN_BLOCK changes it.
         """
         X = _check_matrix(X, "X")
         n, d = X.shape
         if d != self.centers.shape[2]:
             raise ValueError(f"expected {self.centers.shape[2]} features, got {d}")
-        out = np.empty((n, self.t), dtype=np.int32)
-        if d < GEMM_MIN_DIM:
-            leaves = _leaves(cKDTree(X, leafsize=SCAN_LEAF).tree) if n else []
-            flat = self.centers.reshape(-1, d)
-            offs, parts = np.arange(self.t) * self.psi, np.arange(self.t)[:, None]
-            grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
-            groups = min(WORKERS, len(leaves))
+        t, psi = self.t, self.psi
+        out = np.empty((n, t), dtype=np.int32)
+        # kd-tree leaves, cut where more than SCAN_LEAF rows coincide
+        leaves = [r[i:i + SCAN_LEAF] for r in (_leaves(cKDTree(X, leafsize=SCAN_LEAF).tree) if n else [])
+                  for i in range(0, len(r), SCAN_LEAF)]
+        flat = self.centers.reshape(-1, d)
+        grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
+        screen = d >= GEMM_MIN_DIM
+        tasks = min(WORKERS, len(leaves))
+        block = SCREEN_BLOCK // max(tasks, 1) if screen else SCAN_BLOCK
+        # partitionings per call of k centers each, w floats of gathered weights per
+        # center: the screen scores a leaf's rows at once, reading each weight once
+        width = (lambda k, w: max(1, block // (k * (SCAN_LEAF + w)))) if screen else (lambda k, w: t)
+        # one table row per center, in tiles of width(psi, 0) partitionings that a
+        # leaf keeping every center scores as they are: center 0 of each, then 1, ...
+        part, tile = np.arange(t)[:, None], width(psi, 0)
+        base = part - part % tile
+        row_of = base * psi + np.arange(psi) * np.minimum(tile, t - base) + part - base  # (t, psi)
+        table = np.empty((t * psi, d + screen))
+        table[row_of.ravel(), :d] = flat
+        if screen:  # scores ||c||^2 - 2 x.c from one GEMM of [-2c, ||c||^2] and [x, 1]
+            table[:, :d] *= -2
+            table[row_of.ravel(), d] = np.einsum("ij,ij->i", flat, flat)
+            max_sq_c = table[:, d].max()
+            r2 = self.radii * self.radii
 
-            def scan(task):  # every partitioning of the leaves first, first + groups, ...
-                first, near, buf = task
-                for rows in leaves[first::groups]:
-                    box = X[rows]
-                    p = (box.min(axis=0) + box.max(axis=0))[None] / 2
-                    dp = cdist(p, flat, out=near).reshape(self.t, self.psi)
-                    reach = 2 * cdist(p, box).max()
+        def scan(task):  # the leaves first, first + tasks, ...
+            first, near, buf, rows1, cells = task
+            for rows in leaves[first::tasks]:
+                box = X[rows]
+                p = (box.min(axis=0) + box.max(axis=0))[None] / 2
+                reach = 2 * cdist(p, box).max()
+                if screen:  # p's screened squared distances stand in for cdist(p, c)
+                    sq_x, sq_p = np.einsum("ij,ij->i", box, box), (p @ p.T)[0, 0]
+                    tol, tol_p = (4 * (d + 2) * (_EPS * (sq + 3 * max_sq_c) + _ETA) for sq in (sq_x, sq_p))
+                    dp = np.matmul(table, np.append(p, 1.0), out=near)[row_of] + sq_p
+                    bound = (np.sqrt(dp.min(axis=1) + tol_p) + reach) * grow + floor
+                    keep = dp <= bound[:, None] ** 2 + tol_p
+                else:
+                    dp = cdist(p, flat, out=near[None]).reshape(t, psi)
                     keep = dp <= ((dp.min(axis=1) + reach) * grow + floor)[:, None]
-                    k = keep.sum(axis=1).max()  # (k, t) centers, the kept ones first
-                    idx = np.argsort(~keep, axis=1, kind="stable")[:, :k].T
-                    sub = flat[(idx + offs).ravel()]
-                    step = max(1, SCAN_BLOCK // len(sub))
-                    for lo in range(0, len(rows), step):
-                        xb = box[lo:lo + step]
-                        dist = cdist(sub, xb, out=buf[:len(sub) * len(xb)].reshape(-1, len(xb)))
-                        dist = dist.reshape(k, self.t, -1)
-                        best = dist.min(axis=0)
-                        pos = np.empty(best.shape, np.intp)
-                        for j in range(k - 1, -1, -1):  # the first kept center at the minimum
-                            np.copyto(pos, j, where=dist[j] == best)
-                        cell = idx[pos, parts]
-                        covered = best <= self.radii[parts, cell]
-                        out[rows[lo:lo + step]] = np.where(covered, cell, -1).T
-            _run_tasks(scan, [(g, np.empty((1, len(flat))), np.empty(max(SCAN_BLOCK, len(flat))))
-                              for g in range(groups)])
-            return out
-        groups = min(WORKERS, self.t)
-        ambiguous = np.empty((n, self.t), dtype=bool)
-        r2 = self.radii * self.radii
-        tasks = []  # buffers made on this thread: a worker's freed ones stay in its malloc arena
-        for part in np.array_split(np.arange(self.t), groups):
-            cols = slice(part[0], part[-1] + 1)  # a contiguous group of partitionings
-            flat = self.centers[cols].reshape(-1, d)
-            weights = np.empty((d + 1, len(flat)))
-            np.multiply(flat.T, -2.0, out=weights[:d])
-            np.einsum("ij,ij->i", flat, flat, out=weights[d])
-            step = max(1, SCREEN_BLOCK // groups // len(flat))
-            tasks.append((weights, r2[cols], out[:, cols], ambiguous[:, cols],
-                          np.ones((step, d + 1)), np.empty((step, len(flat)))))
-        max_sq_c = max(weights[d].max() for weights, *_ in tasks)
-        _run_tasks(lambda task: _screen_cells(X, max_sq_c, *task), tasks)
+                w = 0 if keep.all() else table.shape[1]  # a whole tile, or the centers gathered into buf
+                for part, idx in _kept_groups(keep):
+                    g = width(len(idx), w)
+                    for pp, ip in ((part[i:i + g], idx[:, i:i + g]) for i in range(0, len(part), g)):
+                        sub = (np.take(table, row_of[pp, ip].ravel(), axis=0, out=buf[:ip.size * w].reshape(-1, w),
+                                       mode="clip") if w else table[pp[0] * psi:(pp[-1] + 1) * psi])
+                        calls = -(-len(rows) // max(1, (block - ip.size * w) // len(sub)))  # of <= block values
+                        step = -(-len(rows) // calls)
+                        for lo in range(0, len(rows), step):
+                            xb, hi = box[lo:lo + step], min(lo + step, len(rows))
+                            vals = buf[ip.size * w:][:len(sub) * len(xb)].reshape(len(sub), -1)
+                            if screen:
+                                rows1[:len(xb), :d] = xb
+                                scores = np.matmul(sub, rows1[:len(xb)].T, out=vals).reshape(len(ip), len(pp), -1)
+                                cells[lo:hi, pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp]).T
+                                continue
+                            dist = cdist(sub, xb, out=vals).reshape(len(ip), len(pp), -1)
+                            best, pos = dist.min(axis=0), np.empty(dist.shape[1:], np.intp)
+                            for j in range(len(ip) - 1, -1, -1):  # the first kept center at the minimum
+                                np.copyto(pos, j, where=dist[j] == best)
+                            cell = ip[pos, np.arange(len(pp))[:, None]]
+                            cells[lo:hi, pp] = np.where(best <= self.radii[pp[:, None], cell], cell, -1).T
+                out[rows] = cells[:len(rows)]
+        # buffers made on this thread: a worker's freed ones stay in its malloc arena
+        size = max(block, (psi if screen else len(flat)) * (d + 2))  # a call of one center at least
+        _run_tasks(scan, [(first, np.empty(len(flat)), np.empty(size), np.ones((SCAN_LEAF, d + 1)),
+                           np.empty((SCAN_LEAF, t), np.int32)) for first in range(tasks)])
 
-        def rescan(i):
-            rows = np.flatnonzero(ambiguous[:, i])
+        def rescan(i):  # the pairs the screen marked -2
+            rows = np.flatnonzero(out[:, i] == -2)
             out[rows, i] = _scan_cells(X[rows], self.centers[i], self.radii[i])
-        _run_tasks(rescan, np.flatnonzero(ambiguous.any(axis=0)))
+        if screen:
+            _run_tasks(rescan, np.flatnonzero((out == -2).any(axis=0)))
         return out
 
     def save(self, path) -> None:
@@ -464,22 +496,26 @@ class GdkOps:
     def take(self, rows: np.ndarray) -> "GdkOps":
         return GdkOps(self.X[np.asarray(rows)], self.bandwidth)
 
-    def _rbf(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        k = cdist(A, B, "sqeuclidean")  # exp(-k / (2 h^2)) in place, rounded in that order
+    def _rbf(self, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+        k = cdist(A, B, "sqeuclidean", out=out)  # exp(-k / (2 h^2)) in place, rounded in that order
         np.negative(k, out=k)
         np.divide(k, 2.0 * self.bandwidth**2, out=k)  # a reciprocal would change the bits
         return np.exp(k, out=k)
 
     def _row_means(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Mean kernel value of each row of A against all of B, in row blocks of
-        at most GDK_BLOCK values on WORKERS threads. A row's mean reduces that
-        row's own values whatever block holds it, so it depends on neither."""
+        at most GDK_BLOCK values dealt to WORKERS threads. A row's mean reduces
+        that row's own values whatever block holds it, so it depends on neither."""
         out = np.empty(len(A))
         step = max(1, GDK_BLOCK // len(B))
+        tasks = min(WORKERS, -(-len(A) // step))
 
-        def block(lo):  # writes only its own slice of out
-            np.mean(self._rbf(A[lo:lo + step], B), axis=1, out=out[lo:lo + step])
-        _run_tasks(block, range(0, len(A), step))
+        def blocks(task):  # the blocks first, first + tasks, ...; each writes its own slice of out
+            first, buf = task
+            for lo in range(first * step, len(A), tasks * step):
+                np.mean(self._rbf(A[lo:lo + step], B, out=buf[:len(A) - lo]), axis=1, out=out[lo:lo + step])
+        # kernel blocks made on this thread: a worker's freed ones stay in its malloc arena
+        _run_tasks(blocks, [(first, np.empty((min(step, len(A)), len(B)))) for first in range(tasks)])
         return out
 
     def group_state(self, rows: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from kernelhc.cli import build_parser, main
 from kernelhc.datasets import load_csv
+from kernelhc.ikernel import IsolationModel
 
 SPEC = [
     {"type": "gaussian", "center": [0, 0], "std": 0.1, "size": 40},
@@ -70,6 +71,10 @@ class TestCluster:
         assert manifest["k_effective"] == 2
         workers = manifest["transform_workers"]
         assert isinstance(workers, int) and workers > 0
+        points = load_csv(blob_csv, label_column="label").points
+        cells = IsolationModel.load(out / "model.npz").transform(points)
+        assert 0 < manifest["kernel_coverage"] <= 1
+        assert manifest["kernel_coverage"] == np.mean(cells >= 0)
         assert manifest["input"]["sha256"]
         assert set(manifest["timings"]) >= {"fit", "cores", "tree", "assign",
                                             "refine", "total"}
@@ -164,6 +169,24 @@ class TestEval:
         assert 0 < report["tsc_local"] <= 1
         table = capsys.readouterr().out
         assert "purity" in table
+
+    def test_tsc_on_unlabeled_input(self, blob_csv, tmp_path, capsys):
+        # --label-col defaults to "label"; an input without that column is read whole
+        unlabeled = tmp_path / "unlabeled.csv"
+        points = load_csv(blob_csv, label_column="label").points
+        unlabeled.write_text("x,y\n" + "".join(f"{x:.17g},{y:.17g}\n" for x, y in points))
+        out = tmp_path / "run"
+        assert main(["cluster", "--in", str(unlabeled), "--k", "2", "--psi", "4", "--t", "30",
+                     "--tau", "0.01", "--subset-size", "60", "--seed", "5",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--tree", str(out / "tree.json"), "--metrics", "tsc",
+                     "--in", str(unlabeled), "--model", str(out / "model.npz"),
+                     "--out", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["tsc_local"] == pytest.approx(
+            manifest["metrics"]["tsc_local_after_refine"], abs=1e-12)
 
     def test_unknown_metric_exits_2(self, blob_csv, tmp_path):
         out = tmp_path / "run"

@@ -494,6 +494,74 @@ class TestPrunedScan:
         assert sum(rows) == len(X)
 
 
+@st.composite
+def pruned_screen_cases(draw):
+    """A model and queries for the screen on kd-tree leaves: separated blobs,
+    whose leaves drop centers; one standard Gaussian, whose leaves keep them
+    all; duplicates, whose coinciding centers force rescans; the model's own
+    centers and points at a radius; scales 1, 1e-160 and 1e150; plus leaf
+    sizes and a block under one row of scores."""
+    d = draw(st.sampled_from([3, 16, 64]))
+    kind = draw(st.sampled_from(["blobs", "gaussian", "duplicates"]))
+    seed = draw(st.integers(0, 2**20))
+    n = draw(st.integers(4, 80))
+    rng = np.random.default_rng(seed)
+    if kind == "blobs":
+        X = rng.normal(size=(n, d)) + rng.uniform(-100, 100, size=(4, d))[rng.integers(0, 4, size=n)]
+    elif kind == "duplicates":
+        distinct = rng.normal(size=(draw(st.integers(1, 4)), d))
+        X = distinct[rng.integers(0, len(distinct), size=n)]
+    else:
+        X = rng.normal(size=(n, d))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    psi = draw(st.one_of(st.integers(2, min(6, n)), st.integers(max(2, n - 2), n)))
+    model = fit_isolation_model(X * scale, psi=psi, t=draw(st.integers(1, 6)), seed=seed)
+    queries = np.vstack([X * scale, model.centers.reshape(-1, d), edge_points(model)])
+    leaf = draw(st.sampled_from([1, 2, 5, ikernel.SCAN_LEAF]))
+    block = draw(st.sampled_from([1, ikernel.SCREEN_BLOCK]))
+    return model, queries, kind, scale, leaf, block
+
+
+class TestPrunedScreen:
+    """The GEMM screen of each kd-tree leaf against the centers that can be
+    nearest, with its rescans, equals the full _scan_cells scan."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=pruned_screen_cases())
+    def test_pruned_screen_equals_full_scan(self, case):
+        model, X, kind, scale, leaf, block = case
+        scored = []
+        screen = ikernel._screen_cells
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ikernel, "SCAN_LEAF", leaf)
+            mp.setattr(ikernel, "SCREEN_BLOCK", block)
+            mp.setattr(ikernel, "_screen_cells",  # counts the scores of every GEMM
+                       lambda scores, *rest: scored.append(scores.size) or screen(scores, *rest))
+            cells = model.transform(X)
+        assert cells.dtype == np.int32 and cells.shape == (len(X), model.t)
+        assert np.array_equal(cells, full_scan(model, X))
+        assert sum(scored) <= len(X) * model.t * model.psi
+        if kind == "blobs" and scale != 1e-160 and leaf < ikernel.SCAN_LEAF and model.psi > 4:
+            assert sum(scored) < len(X) * model.t * model.psi
+
+    def test_separated_blobs_score_a_fraction_of_the_centers(self, monkeypatch):
+        # 8 unit Gaussians, centers uniform in [-10, 10]^64: a leaf keeps about
+        # the centers of its own blob, and its partitionings go in two groups
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(1200, 64)) + rng.uniform(-10, 10, size=(8, 64))[rng.integers(0, 8, size=1200)]
+        model = fit_isolation_model(X, psi=16, t=30, seed=4)
+        scored, groups = [], []
+        screen, kept = ikernel._screen_cells, ikernel._kept_groups
+        monkeypatch.setattr(ikernel, "_screen_cells",
+                            lambda scores, *rest: scored.append(scores.size) or screen(scores, *rest))
+        monkeypatch.setattr(ikernel, "_kept_groups", lambda keep: groups.append(kept(keep)) or groups[-1])
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert sum(scored) < 0.75 * len(X) * model.t * model.psi
+        assert any(len(g) == 2 for g in groups)
+        for g in groups:  # every partitioning once, its kept centers first
+            assert sorted(np.concatenate([part for part, _ in g])) == list(range(model.t))
+
+
 def worker_inputs(d, t=15):
     """A fitted model and two queries: 103 Gaussian points (no multiple of
     the small blocks) and 10 distinct points repeated 12 times, whose
@@ -524,44 +592,47 @@ def pool_spy(monkeypatch):
 
 class TestWorkers:
     """transform's cells do not depend on WORKERS, SCAN_LEAF, SCAN_BLOCK or
-    SCREEN_BLOCK, on either the exact scan (d=2) or the screen (d=16)."""
+    SCREEN_BLOCK, on either the exact scan (d=2) or the screen (d=16, 64)."""
 
-    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("d", [2, 16, 64])
     def test_cells_independent_of_workers_and_block(self, monkeypatch, pool_spy, d):
         model, queries = worker_inputs(d)
         expected = {name: oracle_cells(model, X) for name, X in queries.items()}
         screen = d >= ikernel.GEMM_MIN_DIM
         pools = set()
         for workers in (1, 2, 4):
-            groups = min(workers, model.t)  # 15 partitionings: 15, 8 + 7 or 4 + 4 + 4 + 3
-            if screen:  # 3 rows of the largest group, under one row of scores, default
+            if screen:  # leaves of at most 3 rows or one leaf; one partitioning and
+                # one row per call, 3 rows of scores per call, or the default block
                 knob = "SCREEN_BLOCK"
-                blocks = (3 * model.psi * -(-model.t // groups) * groups, 5, ikernel.SCREEN_BLOCK)
+                sizes = ((3, 5), (3, ikernel.SCREEN_BLOCK), (ikernel.SCAN_LEAF, 3 * model.psi),
+                         (ikernel.SCAN_LEAF, ikernel.SCREEN_BLOCK))
             else:  # leaves of at most 3 rows, default
-                knob, blocks = "SCAN_LEAF", (3, ikernel.SCAN_LEAF)
-            for block in blocks:
+                knob, sizes = "SCAN_BLOCK", ((3, ikernel.SCAN_BLOCK), (ikernel.SCAN_LEAF, ikernel.SCAN_BLOCK))
+            for leaf, block in sizes:
                 monkeypatch.setattr(ikernel, "WORKERS", workers)
+                monkeypatch.setattr(ikernel, "SCAN_LEAF", leaf)
                 monkeypatch.setattr(ikernel, knob, block)
                 for name, X in queries.items():
                     pool_spy.clear()
                     cells = model.transform(X)
                     assert cells.dtype == np.int32 and cells.shape == (len(X), model.t)
-                    assert np.array_equal(cells, expected[name]), (name, workers, block)
-                    if screen:  # the screen's pool starts before the rescans' pool
-                        assert pool_spy[:1] == ([groups] if workers > 1 else [])
+                    assert np.array_equal(cells, expected[name]), (name, workers, leaf, block)
+                    if leaf == 3:  # the leaves' pool starts before the rescans' pool
+                        assert pool_spy[:1] == ([workers] if workers > 1 else [])
                     pools.update(pool_spy)
         assert pools == {2, 4}
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_more_workers_than_partitionings(self, monkeypatch, pool_spy, t):
-        # 8 workers screen 3 partitionings on 3 threads; one partitioning
-        # leaves one task for the screen and one per rescan, so no pool
+        # 8 workers scan 4 leaves on 4 threads; one leaf and one partitioning
+        # leave one task for the screen and one for the rescans, so no pool
         model, queries = worker_inputs(ikernel.GEMM_MIN_DIM, t=t)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 40 if t == 3 else ikernel.SCAN_LEAF)
         for name, X in queries.items():
             pool_spy.clear()
             assert np.array_equal(model.transform(X), oracle_cells(model, X)), name
-            assert pool_spy == [] if t == 1 else pool_spy[0] == t
+            assert pool_spy == [] if t == 1 else pool_spy[0] == 4
 
     @pytest.mark.parametrize("d", [2, 16])
     @pytest.mark.parametrize("n", [0, 1, 7])
@@ -594,11 +665,13 @@ class TestWorkers:
             sys.setswitchinterval(interval)
 
     def test_screen_with_fast_switching(self, monkeypatch):
-        # a task writing outside its column group would show as a difference
-        # from the oracle; 8 groups of 2 or 1 partitionings, one row per block
+        # a task writing outside its leaves' rows would show as a difference
+        # from the oracle; leaves of at most 3 rows on 8 threads, two
+        # partitionings per call where a leaf keeps every center
         model, queries = worker_inputs(ikernel.GEMM_MIN_DIM)
         expected = {name: oracle_cells(model, X) for name, X in queries.items()}
-        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", 8 * 2 * model.psi)
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 3)
+        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", 8 * 2 * model.psi * 3)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
