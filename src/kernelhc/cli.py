@@ -115,8 +115,16 @@ def _run_kernel_pipeline(ds, args):
     return result, dataclasses.asdict(config)
 
 
+def _load_input(path, label_col):
+    """The dataset CSV at path; its label_col column holds the labels when the
+    header has one, and the rest are features. Unlabeled input is read whole."""
+    with open(path, newline="") as f:
+        labeled = label_col in next(csv.reader(f), [])
+    return datasets.load_csv(path, label_column=label_col if labeled else None)
+
+
 def cmd_cluster(args) -> int:
-    ds = datasets.load_csv(args.infile, label_column=args.label_col)
+    ds = _load_input(args.infile, args.label_col)
     out = _out_dir(args)
     warnings = []
     timings = {}
@@ -215,9 +223,7 @@ def cmd_eval(args) -> int:
     if "tsc" in wanted:
         if not (args.infile and args.model):
             raise ValueError("--in and --model are required for tsc")
-        with open(args.infile, newline="") as f:  # unlabeled input is the usual case
-            labeled = args.label_col in next(csv.reader(f), [])
-        ds = datasets.load_csv(args.infile, label_column=args.label_col if labeled else None)
+        ds = _load_input(args.infile, args.label_col)  # unlabeled input is the usual case
         model = IsolationModel.load(args.model)
         ops = IdkOps.fit(model, ds.points)
         report["tsc"] = dendro.tsc(tree, ops)
@@ -323,6 +329,7 @@ def cmd_bench(args) -> int:
     for r in rows:
         print(f"{r['n']:>8} {r['hkc_seconds']:>10.3f} {r['bisect_seconds']:>10.3f}")
     print(f"hkc prefers linear fit: {summary['hkc_prefers_linear']}")
+    print(f"bisect prefers linear fit: {summary['bisect_prefers_linear']}")
     print(f"results in {csv_path}")
     return 0
 
@@ -347,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cluster", help="cluster a CSV dataset")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--label-col", default=None)
+    c.add_argument("--label-col", default="label",
+                   help="label column, left out of the features when the header has it")
     c.add_argument("--algo", choices=["hkc", "bisect-kmeans", "ahc"], default="hkc")
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--psi", type=int, default=16)

@@ -13,9 +13,8 @@ which is what makes set-to-set and point-to-set comparisons cheap.
 
 Everything here is deterministic given (data, psi, t, seed) and immutable
 after construction, so models and feature matrices can be shared freely,
-across threads too: ``IsolationModel.transform`` (its exact scan or GEMM
-screen of kd-tree leaves, and the rescans) and ``GdkOps`` run on ``WORKERS``
-threads.
+across threads too: ``IsolationModel.transform`` (its GEMM screen of kd-tree
+leaves, and the rescans) and ``GdkOps`` run on ``WORKERS`` threads.
 """
 
 from __future__ import annotations
@@ -56,26 +55,13 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
     return data
 
 
-# Inputs with at least this many features take the GEMM screen in
-# IsolationModel.transform. Seconds for 8,000 points, psi=48, t=200, one BLAS
-# thread, 2 workers, best of 3 (ranges over 3 runs), on 8 unit Gaussians with
-# centers uniform in [-10, 10]^d (blobs) and on one standard Gaussian (normal):
-#   d              2        3        4        6        8        12       16       24       64
-#   blobs exact    .10-.15  .14-.19  .12-.16  .12-.17  .20-.21  .23-.24  .24-.28  .15-.21  .46-.50
-#   blobs screen   .10-.11  .10-.12  .11-.13  .10-.12  .11-.13  .12-.14  .12-.14  .10-.12  .14-.16
-#   normal exact   .14-.16  .26-.31  .37-.38  .36-.41  .42-.44  .46-.52  .52-.63  .63-.74  1.46-1.49
-#   normal screen  .11-.12  .19-.20  .21-.22  .19-.23  .20-.25  .18-.21  .20-.28  .21-.24  .26-.38
-# Both scan the same kd-tree leaves. The screen leads at every d, but at d=2 on
-# the 2-d benchmarks' analog mixture (n=24,000) exact .20-.26 ties screen .22-.29.
-GEMM_MIN_DIM = 3
 # Most float64 scores and gathered weights the screen holds at once, on all threads.
 SCREEN_BLOCK = 1 << 19
-# Most rows per kd-tree leaf of the transform, and most float64 distances one
-# of the exact scan's cdist calls holds (2 MiB): a leaf in a sparse region keeps
-# most centers. IdkOps.fit builds Phi in row blocks of as many cells.
+# Most rows per kd-tree leaf of the transform.
 SCAN_LEAF = 128
+# Most cells per row block of IdkOps.fit's Phi build.
 SCAN_BLOCK = 1 << 18
-# Threads for the exact scans, the GEMM screen and the Gaussian row means (cdist, BLAS,
+# Threads for the GEMM screen, its rescans and the Gaussian row means (cdist, BLAS,
 # NumPy's ufuncs and reductions release the GIL): every CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _EPS = np.finfo(np.float64).eps  # 2u, twice the unit roundoff u
@@ -133,20 +119,15 @@ def _kept_groups(keep: np.ndarray) -> list:
 # c for x, cdist(x, c) <= cdist(x, c*) and, up to those errors, |p - c| <=
 # |p - x| + |x - c| <= 2R + m: cdist(p, c) <= (1 + 4e)(m + 2R) + 6z. So c is
 # kept, and a center not kept is farther than c* from every row: the padding
-# never holds the minimum.
-#  - Exact scan: c* is p's nearest center, and a leaf keeps every c with
-#    cdist(p, c) <= (m + 2R)(1 + 8e) + 8 sqrt(d _ETA), which also covers the
-#    higher orders and the three roundings of the bound. A cdist value depends
-#    only on its own pair of rows, and the kept centers come first in ascending
-#    index order, so the first at the minimum is _scan_cells's argmin.
-#  - Screen: p's screened squares E (below, x = p) are within tol_p / 2 of
-#    cdist's; c* has the least, E*, so m <= (1 + u) sqrt(E* + tol_p / 2), and
-#    E(c) < (cdist(p, c) / (1 - u))^2 + tol_p / 2. A leaf keeps every c with
-#    E(c) <= ((sqrt(E* + tol_p) + 2R)(1 + 8e) + 8 sqrt(d _ETA))^2 + tol_p; as
-#    4e >= 10u, that covers the seven roundings of the bound too. A row's
-#    scored centers hold its cdist argmin, so the best of them that
-#    _screen_cells certifies is the argmin over all psi centers: its tolerance
-#    takes M over all centers, so it holds for any subset of them.
+# never holds the minimum. p's screened squares E (below, x = p) are within
+# tol_p / 2 of cdist's; c* has the least, E*, so m <= (1 + u) sqrt(E* + tol_p / 2),
+# and E(c) < (cdist(p, c) / (1 - u))^2 + tol_p / 2. A leaf keeps every c with
+# E(c) <= ((sqrt(E* + tol_p) + 2R)(1 + 8e) + 8 sqrt(d _ETA))^2 + tol_p: 8e
+# against 4e and 8 sqrt(d _ETA) against 6z cover the higher orders and, as
+# 4e >= 10u, the seven roundings of the bound. A row's scored centers hold its
+# cdist argmin, so the best of them that _screen_cells certifies is the argmin
+# over all psi centers: its tolerance takes M over all centers, so it holds for
+# any subset of them.
 
 # Why a screened cell equals the _scan_cells one bit for bit. Write D for
 # the exact ||x - c||^2, M = max ||c||^2 over all centers, u = _EPS / 2 the
@@ -226,13 +207,12 @@ class IsolationModel:
 
         A kd-tree leaf (at most SCAN_LEAF rows) scores only the centers that can
         be nearest to one of its rows, in two groups of partitionings padded
-        to their largest kept count: with ``cdist`` below GEMM_MIN_DIM
-        features, else with a GEMM that certifies the pairs beyond its rounding
-        error and leaves the rest to a rescan of all psi centers. Either way the
-        cells are the full ``cdist`` scan's, bit for bit (comments above
+        to their largest kept count, with a GEMM that certifies the pairs beyond
+        its rounding error and leaves the rest to a rescan of all psi centers.
+        The cells are the full ``cdist`` scan's, bit for bit (comments above
         _screen_cells). Leaves and rescans run on up to WORKERS threads, in
         tasks that write only their own cells; a cell depends on its row alone,
-        so none of WORKERS, SCAN_LEAF, SCAN_BLOCK, SCREEN_BLOCK changes it.
+        so none of WORKERS, SCAN_LEAF, SCREEN_BLOCK changes it.
         """
         X = _check_matrix(X, "X")
         n, d = X.shape
@@ -245,24 +225,24 @@ class IsolationModel:
                   for i in range(0, len(r), SCAN_LEAF)]
         flat = self.centers.reshape(-1, d)
         grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
-        screen = d >= GEMM_MIN_DIM
         tasks = min(WORKERS, len(leaves))
-        block = SCREEN_BLOCK // max(tasks, 1) if screen else SCAN_BLOCK
+        block = SCREEN_BLOCK // max(tasks, 1)
+
         # partitionings per call of k centers each, w floats of gathered weights per
         # center: the screen scores a leaf's rows at once, reading each weight once
-        width = (lambda k, w: max(1, block // (k * (SCAN_LEAF + w)))) if screen else (lambda k, w: t)
-        # one table row per center, in tiles of width(psi, 0) partitionings that a
-        # leaf keeping every center scores as they are: center 0 of each, then 1, ...
+        def width(k, w):
+            return max(1, block // (k * (SCAN_LEAF + w)))
+        # scores ||c||^2 - 2 x.c from one GEMM of [-2c, ||c||^2] and [x, 1]: one table row
+        # per center, in tiles of width(psi, 0) partitionings that a leaf keeping every
+        # center scores as they are: center 0 of each, then 1, ...
         part, tile = np.arange(t)[:, None], width(psi, 0)
         base = part - part % tile
         row_of = base * psi + np.arange(psi) * np.minimum(tile, t - base) + part - base  # (t, psi)
-        table = np.empty((t * psi, d + screen))
+        table = np.empty((t * psi, d + 1))
         table[row_of.ravel(), :d] = flat
-        if screen:  # scores ||c||^2 - 2 x.c from one GEMM of [-2c, ||c||^2] and [x, 1]
-            table[:, :d] *= -2
-            table[row_of.ravel(), d] = np.einsum("ij,ij->i", flat, flat)
-            max_sq_c = table[:, d].max()
-            r2 = self.radii * self.radii
+        table[:, :d] *= -2
+        table[row_of.ravel(), d] = np.einsum("ij,ij->i", flat, flat)
+        max_sq_c, r2 = table[:, d].max(), self.radii * self.radii
 
         def scan(task):  # the leaves first, first + tasks, ...
             first, near, buf, rows1, cells = task
@@ -270,16 +250,13 @@ class IsolationModel:
                 box = X[rows]
                 p = (box.min(axis=0) + box.max(axis=0))[None] / 2
                 reach = 2 * cdist(p, box).max()
-                if screen:  # p's screened squared distances stand in for cdist(p, c)
-                    sq_x, sq_p = np.einsum("ij,ij->i", box, box), (p @ p.T)[0, 0]
-                    tol, tol_p = (4 * (d + 2) * (_EPS * (sq + 3 * max_sq_c) + _ETA) for sq in (sq_x, sq_p))
-                    dp = np.matmul(table, np.append(p, 1.0), out=near)[row_of] + sq_p
-                    bound = (np.sqrt(dp.min(axis=1) + tol_p) + reach) * grow + floor
-                    keep = dp <= bound[:, None] ** 2 + tol_p
-                else:
-                    dp = cdist(p, flat, out=near[None]).reshape(t, psi)
-                    keep = dp <= ((dp.min(axis=1) + reach) * grow + floor)[:, None]
-                w = 0 if keep.all() else table.shape[1]  # a whole tile, or the centers gathered into buf
+                # p's screened squared distances stand in for cdist(p, c)
+                sq_x, sq_p = np.einsum("ij,ij->i", box, box), (p @ p.T)[0, 0]
+                tol, tol_p = (4 * (d + 2) * (_EPS * (sq + 3 * max_sq_c) + _ETA) for sq in (sq_x, sq_p))
+                dp = np.matmul(table, np.append(p, 1.0), out=near)[row_of] + sq_p
+                bound = (np.sqrt(dp.min(axis=1) + tol_p) + reach) * grow + floor
+                keep = dp <= bound[:, None] ** 2 + tol_p
+                w = 0 if keep.all() else d + 1  # a whole tile, or the centers gathered into buf
                 for part, idx in _kept_groups(keep):
                     g = width(len(idx), w)
                     for pp, ip in ((part[i:i + g], idx[:, i:i + g]) for i in range(0, len(part), g)):
@@ -290,28 +267,19 @@ class IsolationModel:
                         for lo in range(0, len(rows), step):
                             xb, hi = box[lo:lo + step], min(lo + step, len(rows))
                             vals = buf[ip.size * w:][:len(sub) * len(xb)].reshape(len(sub), -1)
-                            if screen:
-                                rows1[:len(xb), :d] = xb
-                                scores = np.matmul(sub, rows1[:len(xb)].T, out=vals).reshape(len(ip), len(pp), -1)
-                                cells[lo:hi, pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp]).T
-                                continue
-                            dist = cdist(sub, xb, out=vals).reshape(len(ip), len(pp), -1)
-                            best, pos = dist.min(axis=0), np.empty(dist.shape[1:], np.intp)
-                            for j in range(len(ip) - 1, -1, -1):  # the first kept center at the minimum
-                                np.copyto(pos, j, where=dist[j] == best)
-                            cell = ip[pos, np.arange(len(pp))[:, None]]
-                            cells[lo:hi, pp] = np.where(best <= self.radii[pp[:, None], cell], cell, -1).T
+                            rows1[:len(xb), :d] = xb
+                            scores = np.matmul(sub, rows1[:len(xb)].T, out=vals).reshape(len(ip), len(pp), -1)
+                            cells[lo:hi, pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp]).T
                 out[rows] = cells[:len(rows)]
         # buffers made on this thread: a worker's freed ones stay in its malloc arena
-        size = max(block, (psi if screen else len(flat)) * (d + 2))  # a call of one center at least
+        size = max(block, psi * (d + 2))  # a call of one partitioning at least
         _run_tasks(scan, [(first, np.empty(len(flat)), np.empty(size), np.ones((SCAN_LEAF, d + 1)),
                            np.empty((SCAN_LEAF, t), np.int32)) for first in range(tasks)])
 
         def rescan(i):  # the pairs the screen marked -2
             rows = np.flatnonzero(out[:, i] == -2)
             out[rows, i] = _scan_cells(X[rows], self.centers[i], self.radii[i])
-        if screen:
-            _run_tasks(rescan, np.flatnonzero((out == -2).any(axis=0)))
+        _run_tasks(rescan, np.flatnonzero((out == -2).any(axis=0)))
         return out
 
     def save(self, path) -> None:
@@ -334,13 +302,17 @@ class IsolationModel:
                 raise ValueError(f"not an isolation model file: {path}")
             if int(f["version"]) != MODEL_VERSION:
                 raise ValueError(f"unsupported model version {int(f['version'])}")
-            return cls(
-                centers=f["centers"],
-                radii=f["radii"],
-                psi=int(f["psi"]),
-                t=int(f["t"]),
-                seed=int(f["seed"]),
-            )
+            centers, radii, psi, t = f["centers"], f["radii"], int(f["psi"]), int(f["t"])
+            seed = int(f["seed"])
+        if psi < 2 or t < 1:
+            raise ValueError(f"{path}: needs psi >= 2 and t >= 1, got psi={psi}, t={t}")
+        if centers.ndim != 3 or centers.shape[:2] != (t, psi) or radii.shape != (t, psi):
+            raise ValueError(f"{path}: centers {centers.shape} and radii {radii.shape} "
+                             f"do not fit t={t}, psi={psi}")
+        _check_matrix(centers.reshape(t * psi, -1), "centers")
+        if not (np.isfinite(radii) & (radii >= 0)).all():
+            raise ValueError(f"{path}: radii must be finite and >= 0")
+        return cls(centers=centers, radii=radii, psi=psi, t=t, seed=seed)
 
 
 def fit_isolation_model(data: np.ndarray, psi: int, t: int, seed: int) -> IsolationModel:

@@ -140,6 +140,24 @@ class TestCluster:
         assert manifest["warnings"]
         assert manifest["k_effective"] < 5
 
+    def test_label_column_left_out_by_default(self, blob_csv, tmp_path):
+        # generate writes x0,x1,label; the label column is no feature, named or not
+        def without_label_col(args):
+            return [a for a in args if a not in ("--label-col", "label")]
+        named, default = tmp_path / "named", tmp_path / "default"
+        assert main(cluster_args(blob_csv, named)) == 0
+        assert main(without_label_col(cluster_args(blob_csv, default))) == 0
+        for name in ("tree.json", "assignments.csv"):
+            assert (named / name).read_bytes() == (default / name).read_bytes(), name
+        assert json.loads((default / "manifest.json").read_text())["metrics"]["purity"] == pytest.approx(1.0)
+        assert IsolationModel.load(default / "model.npz").centers.shape[2] == 2
+        # an input without that column is read whole
+        unlabeled, whole = tmp_path / "unlabeled.csv", tmp_path / "whole"
+        unlabeled.write_text(blob_csv.read_text().replace("label", "x2", 1))
+        assert main(without_label_col(cluster_args(unlabeled, whole))) == 0
+        assert IsolationModel.load(whole / "model.npz").centers.shape[2] == 3
+        assert "purity" not in json.loads((whole / "manifest.json").read_text())["metrics"]
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(["cluster", "--in", str(tmp_path / "missing.csv"),
                    "--k", "2", "--out-dir", str(tmp_path / "o")])
@@ -188,6 +206,21 @@ class TestEval:
         assert report["tsc_local"] == pytest.approx(
             manifest["metrics"]["tsc_local_after_refine"], abs=1e-12)
 
+    def test_invalid_model_exits_2(self, blob_csv, tmp_path, capsys):
+        # a model file whose psi disagrees with its centers, or with NaN radii
+        out = tmp_path / "run"
+        main(cluster_args(blob_csv, out))
+        model = IsolationModel.load(out / "model.npz")
+        for name, fields in (("psi", {"psi": model.psi + 1}),
+                             ("nan", {"radii": np.full_like(model.radii, np.nan)})):
+            bad = tmp_path / f"{name}.npz"
+            with np.load(out / "model.npz") as saved:
+                np.savez(bad, **{**saved, **fields})
+            capsys.readouterr()
+            assert main(["eval", "--tree", str(out / "tree.json"), "--metrics", "tsc",
+                         "--in", str(blob_csv), "--model", str(bad)]) == 2, name
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_metric_exits_2(self, blob_csv, tmp_path):
         out = tmp_path / "run"
         main(cluster_args(blob_csv, out))
@@ -212,7 +245,7 @@ class TestEval:
 
 
 class TestBench:
-    def test_tiny_bench_writes_tables(self, tmp_path):
+    def test_tiny_bench_writes_tables(self, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = main(["bench", "--sizes", "0.02x,0.04x", "--repeats", "1",
                    "--seed", "1", "--subset-size", "50", "--psi", "8",
@@ -223,6 +256,9 @@ class TestBench:
         assert len(lines) == 3
         summary = json.loads((out / "scaleup.json").read_text())
         assert {"rows", "hkc_prefers_linear", "bisect_prefers_linear"} <= set(summary)
+        printed = capsys.readouterr().out.splitlines()
+        for algo in ("hkc", "bisect"):
+            assert f"{algo} prefers linear fit: {summary[algo + '_prefers_linear']}" in printed
 
     def test_empty_sizes_exits_2(self, tmp_path):
         rc = main(["bench", "--sizes", ",", "--out-dir", str(tmp_path / "b")])

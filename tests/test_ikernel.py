@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -30,6 +31,29 @@ def two_sets(model, X, Y):
     """Backend over X stacked on Y, plus the row ranges of each set."""
     ops = IdkOps.fit(model, np.vstack([X, Y]))
     return ops, np.arange(len(X)), np.arange(len(X), len(X) + len(Y))
+
+
+def save_model_fields(path, model, **fields):
+    """Write a model file as IsolationModel.save does, with some fields replaced."""
+    doc = {"format": ikernel.MODEL_FORMAT, "version": ikernel.MODEL_VERSION, "centers": model.centers,
+           "radii": model.radii, "psi": model.psi, "t": model.t, "seed": model.seed, **fields}
+    np.savez(path, **{key: np.asarray(value) for key, value in doc.items()})
+
+
+# Model files IsolationModel.load must reject, as replaced fields of a fitted model
+BAD_MODEL_FIELDS = {
+    "psi_disagrees": lambda m: {"psi": m.psi + 1},
+    "t_disagrees": lambda m: {"t": m.t - 1},
+    "centers_not_3d": lambda m: {"centers": m.centers.reshape(m.t * m.psi, -1)},
+    "centers_nan": lambda m: {"centers": np.where(np.arange(m.psi)[:, None] == 1, np.nan, m.centers)},
+    "centers_inf": lambda m: {"centers": np.where(np.arange(m.psi)[:, None] == 1, np.inf, m.centers)},
+    "radii_shape": lambda m: {"radii": m.radii[:, :-1]},
+    "radii_nan": lambda m: {"radii": np.full_like(m.radii, np.nan)},
+    "radii_inf": lambda m: {"radii": np.full_like(m.radii, np.inf)},
+    "radii_negative": lambda m: {"radii": np.where(np.arange(m.psi) == 2, -1.0, m.radii)},
+    "psi_below_2": lambda m: {"psi": 1, "centers": m.centers[:, :1], "radii": m.radii[:, :1]},
+    "t_below_1": lambda m: {"t": 0, "centers": m.centers[:0], "radii": m.radii[:0]},
+}
 
 
 class TestFitModel:
@@ -94,6 +118,13 @@ class TestFitModel:
         path = tmp_path / "other.npz"
         np.savez(path, format=np.array("something-else"), version=np.array(1))
         with pytest.raises(ValueError, match="not an isolation model"):
+            IsolationModel.load(path)
+
+    @pytest.mark.parametrize("bad", sorted(BAD_MODEL_FIELDS))
+    def test_load_rejects_invalid_model(self, small_model, tmp_path, bad):
+        path = tmp_path / "bad.npz"
+        save_model_fields(path, small_model, **BAD_MODEL_FIELDS[bad](small_model))
+        with pytest.raises(ValueError, match=r"psi|t=|centers|radii"):
             IsolationModel.load(path)
 
 
@@ -321,93 +352,6 @@ def edge_points(model):
     return np.vstack(out)
 
 
-@st.composite
-def screen_cases(draw):
-    """A fitted model and query points on the screen's edges: duplicates,
-    integer grids, the model's own centers, points at a radius or halfway
-    between two centers, and psi near n."""
-    d = draw(st.sampled_from([2, 16, 64]))
-    kind = draw(st.sampled_from(["duplicates", "grid", "gaussian"]))
-    seed = draw(st.integers(0, 2**20))
-    n = draw(st.integers(4, 30))
-    rng = np.random.default_rng(seed)
-    if kind == "duplicates":
-        distinct = rng.normal(size=(draw(st.integers(1, 4)), d))
-        X = distinct[rng.integers(0, len(distinct), size=n)]
-    elif kind == "grid":
-        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
-    else:
-        X = rng.normal(size=(n, d)) * 10.0 ** draw(st.integers(-170, 150))
-    psi = draw(st.one_of(st.integers(2, 4), st.integers(max(2, n - 2), n)))
-    model = fit_isolation_model(X, psi=psi, t=draw(st.integers(1, 6)), seed=seed)
-    queries = np.vstack([X, model.centers.reshape(-1, d), edge_points(model)])
-    return model, queries
-
-
-def cells_both_ways(model, X):
-    """transform's cells through the exact scan and through the GEMM screen."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ikernel, "GEMM_MIN_DIM", X.shape[1] + 1)
-        exact = model.transform(X)
-        mp.setattr(ikernel, "GEMM_MIN_DIM", 1)
-        screened = model.transform(X)
-    return exact, screened
-
-
-class TestScreen:
-    """The GEMM screen of IsolationModel.transform equals the exact scan."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(case=screen_cases())
-    def test_screen_equals_exact_scan(self, case):
-        model, X = case
-        exact, screened = cells_both_ways(model, X)
-        assert screened.dtype == np.int32 and screened.shape == (len(X), model.t)
-        assert np.array_equal(screened, exact)
-        if X.shape[1] == 2:
-            rows = np.linspace(0, len(X) - 1, min(len(X), 40)).astype(int)
-            assert np.array_equal(screened[rows], oracle_cells(model, X[rows]))
-
-    def test_duplicates_fall_back_to_the_exact_scan(self, monkeypatch):
-        # coinciding centers tie and have radius 0, so the screen cannot
-        # certify them; the exact scan must decide those pairs
-        rng = np.random.default_rng(3)
-        X = np.repeat(rng.normal(size=(10, 64)), 20, axis=0)
-        model = fit_isolation_model(X, psi=16, t=20, seed=5)
-        exact = cells_both_ways(model, X)[0]
-        rescanned = []
-        scan = ikernel._scan_cells
-        monkeypatch.setattr(ikernel, "_scan_cells",
-                            lambda Xr, c, r: rescanned.append(len(Xr)) or scan(Xr, c, r))
-        screened = model.transform(X)  # d=64: the screen, whose rescans alone are counted
-        assert np.array_equal(screened, exact)
-        fallback = sum(rescanned)
-        assert 0 < fallback < len(X) * model.t
-
-    def test_screen_blocks_match(self, monkeypatch):
-        # 3 rows per block, and a block smaller than one row of scores
-        X = np.random.default_rng(7).normal(size=(50, 16))
-        model = fit_isolation_model(X, psi=8, t=12, seed=1)
-        exact, _ = cells_both_ways(model, X)
-        for block in (3 * 8 * 12, 5):
-            monkeypatch.setattr(ikernel, "SCREEN_BLOCK", block)
-            assert np.array_equal(cells_both_ways(model, X)[1], exact)
-
-    @pytest.mark.parametrize("scale", [1e-160, 1e-162])
-    def test_subnormal_scale(self, scale):
-        # squared distances below the normal range err absolutely, not
-        # relatively; the screen's bound must still hold
-        X = np.random.default_rng(0).normal(size=(60, 16)) * scale
-        model = fit_isolation_model(X, psi=8, t=10, seed=0)
-        exact, screened = cells_both_ways(model, X)
-        assert np.array_equal(screened, exact)
-
-    def test_empty_input(self):
-        model = fit_isolation_model(rng_data(1, n=20, d=16), psi=4, t=5, seed=0)
-        exact, screened = cells_both_ways(model, np.empty((0, 16)))
-        assert screened.shape == exact.shape == (0, 5)
-
-
 def full_scan(model, X):
     """The unpruned exact scan: _scan_cells against every center of every
     partitioning."""
@@ -416,93 +360,16 @@ def full_scan(model, X):
 
 
 @st.composite
-def pruned_cases(draw):
-    """A model and queries for the pruned exact scan, on its edges:
-    duplicates (single-point and zero-size leaves), integer grids whose
-    centers tie, the model's own centers, points at a radius, subnormal and
-    huge scales, n under one leaf and psi near n; plus leaf and block sizes."""
-    d = draw(st.integers(2, 7))
-    kind = draw(st.sampled_from(["duplicates", "grid", "gaussian"]))
-    seed = draw(st.integers(0, 2**20))
-    n = draw(st.integers(4, 60))
-    rng = np.random.default_rng(seed)
-    if kind == "duplicates":
-        distinct = rng.normal(size=(draw(st.integers(1, 4)), d))
-        X = distinct[rng.integers(0, len(distinct), size=n)]
-    elif kind == "grid":
-        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
-    else:
-        X = rng.normal(size=(n, d))
-    X = X * draw(st.sampled_from([1.0, 1e-162, 1e-160, 1e150]))
-    psi = draw(st.one_of(st.integers(2, 4), st.integers(max(2, n - 2), n)))
-    model = fit_isolation_model(X, psi=psi, t=draw(st.integers(1, 6)), seed=seed)
-    queries = np.vstack([X, model.centers.reshape(-1, d), edge_points(model)])
-    leaf = draw(st.sampled_from([1, 2, 5, ikernel.SCAN_LEAF]))
-    block = draw(st.sampled_from([1, 7 * model.t, ikernel.SCAN_BLOCK]))
-    return model, queries, leaf, block
-
-
-class TestPrunedScan:
-    """transform's exact scan of each kd-tree leaf against the centers that
-    can be nearest equals the full _scan_cells scan."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=pruned_cases())
-    def test_pruned_scan_equals_full_scan(self, case):
-        model, X, leaf, block = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ikernel, "GEMM_MIN_DIM", X.shape[1] + 1)
-            mp.setattr(ikernel, "SCAN_LEAF", leaf)
-            mp.setattr(ikernel, "SCAN_BLOCK", block)
-            cells = model.transform(X)
-        assert cells.dtype == np.int32 and cells.shape == (len(X), model.t)
-        assert np.array_equal(cells, full_scan(model, X))
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-162, 1e150])
-    @pytest.mark.parametrize("d", [2, 5, 7])
-    def test_cdist_of_a_center_subset_is_the_full_cdist(self, d, scale):
-        # the scan relies on a pair's cdist value not depending on the other
-        # rows and columns of the call, on their order, on repeats, on the
-        # argument order or on out=
-        rng = np.random.default_rng(d)
-        X, C = rng.normal(size=(37, d)) * scale, rng.normal(size=(29, d)) * scale
-        full = cdist(X, C)
-        cols = np.concatenate([rng.permutation(29)[:11], rng.integers(0, 29, size=14)])
-        assert np.array_equal(cdist(X, C[cols]), full[:, cols])
-        assert np.array_equal(cdist(C[cols], X[5:18]), full[5:18, cols].T)
-        out = np.empty((len(cols), 13))
-        assert cdist(C[cols], X[5:18], out=out) is out
-        assert np.array_equal(out, full[5:18, cols].T)
-
-    def test_leaf_is_split_into_calls_of_at_most_scan_block(self, monkeypatch):
-        # one leaf of 60 rows; each call holds at most SCAN_BLOCK distances,
-        # and the calls cover every row once
-        X = np.random.default_rng(2).normal(size=(60, 2))
-        model = fit_isolation_model(X, psi=10, t=4, seed=2)
-        sizes, rows = [], []
-        real = ikernel.cdist
-
-        def spy(a, b, out=None):
-            if out is not None and len(a) > 1:  # a leaf's rows against its kept centers
-                sizes.append(out.size)
-                rows.append(len(b))
-            return real(a, b, out=out) if out is not None else real(a, b)
-        monkeypatch.setattr(ikernel, "cdist", spy)
-        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 3 * model.t * model.psi)
-        assert np.array_equal(model.transform(X), full_scan(model, X))
-        assert len(sizes) > 1 and max(sizes) <= ikernel.SCAN_BLOCK
-        assert sum(rows) == len(X)
-
-
-@st.composite
-def pruned_screen_cases(draw):
-    """A model and queries for the screen on kd-tree leaves: separated blobs,
-    whose leaves drop centers; one standard Gaussian, whose leaves keep them
-    all; duplicates, whose coinciding centers force rescans; the model's own
-    centers and points at a radius; scales 1, 1e-160 and 1e150; plus leaf
-    sizes and a block under one row of scores."""
-    d = draw(st.sampled_from([3, 16, 64]))
-    kind = draw(st.sampled_from(["blobs", "gaussian", "duplicates"]))
+def transform_cases(draw):
+    """A fitted model and queries on the edges of transform's leaf selection
+    and GEMM screen: separated blobs, whose leaves drop centers; one standard
+    Gaussian, whose leaves keep them all; duplicates (single-point and
+    zero-size leaves, and coinciding centers that force rescans); integer grids
+    whose centers tie; the model's own centers and points at a radius or
+    halfway between two centers; subnormal to huge scales; n under one leaf
+    and psi near n; plus leaf sizes and blocks down to under one row of scores."""
+    d = draw(st.sampled_from([1, 2, 3, 5, 7, 16, 64]))
+    kind = draw(st.sampled_from(["blobs", "gaussian", "duplicates", "grid"]))
     seed = draw(st.integers(0, 2**20))
     n = draw(st.integers(4, 80))
     rng = np.random.default_rng(seed)
@@ -511,24 +378,27 @@ def pruned_screen_cases(draw):
     elif kind == "duplicates":
         distinct = rng.normal(size=(draw(st.integers(1, 4)), d))
         X = distinct[rng.integers(0, len(distinct), size=n)]
+    elif kind == "grid":
+        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
     else:
         X = rng.normal(size=(n, d))
-    scale = draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    scale = draw(st.one_of(st.sampled_from([1.0, 1e-162, 1e-160, 1e150]),
+                           st.integers(-170, 150).map(lambda e: 10.0**e)))
     psi = draw(st.one_of(st.integers(2, min(6, n)), st.integers(max(2, n - 2), n)))
     model = fit_isolation_model(X * scale, psi=psi, t=draw(st.integers(1, 6)), seed=seed)
     queries = np.vstack([X * scale, model.centers.reshape(-1, d), edge_points(model)])
     leaf = draw(st.sampled_from([1, 2, 5, ikernel.SCAN_LEAF]))
-    block = draw(st.sampled_from([1, ikernel.SCREEN_BLOCK]))
+    block = draw(st.sampled_from([1, 7 * model.t, ikernel.SCREEN_BLOCK]))
     return model, queries, kind, scale, leaf, block
 
 
-class TestPrunedScreen:
+class TestScreen:
     """The GEMM screen of each kd-tree leaf against the centers that can be
     nearest, with its rescans, equals the full _scan_cells scan."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(case=pruned_screen_cases())
-    def test_pruned_screen_equals_full_scan(self, case):
+    @settings(max_examples=300, deadline=None)
+    @given(case=transform_cases())
+    def test_screen_equals_exact_scan(self, case):
         model, X, kind, scale, leaf, block = case
         scored = []
         screen = ikernel._screen_cells
@@ -540,9 +410,73 @@ class TestPrunedScreen:
             cells = model.transform(X)
         assert cells.dtype == np.int32 and cells.shape == (len(X), model.t)
         assert np.array_equal(cells, full_scan(model, X))
+        if X.shape[1] <= 2:  # where the one-point-at-a-time oracle rounds as cdist does
+            rows = np.linspace(0, len(X) - 1, min(len(X), 40)).astype(int)
+            assert np.array_equal(cells[rows], oracle_cells(model, X[rows]))
         assert sum(scored) <= len(X) * model.t * model.psi
-        if kind == "blobs" and scale != 1e-160 and leaf < ikernel.SCAN_LEAF and model.psi > 4:
+        # four blobs uniform in [-100, 100]^d lie apart from d = 3 on
+        if (kind == "blobs" and scale in (1.0, 1e150) and leaf < ikernel.SCAN_LEAF and model.psi > 4
+                and X.shape[1] >= 3):
             assert sum(scored) < len(X) * model.t * model.psi
+
+    def test_duplicates_fall_back_to_the_exact_scan(self, monkeypatch):
+        # coinciding centers tie and have radius 0, so the screen cannot
+        # certify them; the exact rescans must decide those pairs
+        rng = np.random.default_rng(3)
+        X = np.repeat(rng.normal(size=(10, 64)), 20, axis=0)
+        model = fit_isolation_model(X, psi=16, t=20, seed=5)
+        expected = full_scan(model, X)
+        rescanned = []
+        scan = ikernel._scan_cells
+        monkeypatch.setattr(ikernel, "_scan_cells",
+                            lambda Xr, c, r: rescanned.append(len(Xr)) or scan(Xr, c, r))
+        assert np.array_equal(model.transform(X), expected)
+        fallback = sum(rescanned)
+        assert 0 < fallback < len(X) * model.t
+
+    def test_screen_blocks_match(self, monkeypatch):
+        # 3 rows per block, and a block smaller than one row of scores
+        X = np.random.default_rng(7).normal(size=(50, 16))
+        model = fit_isolation_model(X, psi=8, t=12, seed=1)
+        expected = full_scan(model, X)
+        for block in (3 * 8 * 12, 5):
+            monkeypatch.setattr(ikernel, "SCREEN_BLOCK", block)
+            assert np.array_equal(model.transform(X), expected)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162])
+    def test_subnormal_scale(self, scale):
+        # squared distances below the normal range err absolutely, not
+        # relatively; the screen's bound must still hold
+        X = np.random.default_rng(0).normal(size=(60, 16)) * scale
+        model = fit_isolation_model(X, psi=8, t=10, seed=0)
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+
+    def test_empty_input(self):
+        model = fit_isolation_model(rng_data(1, n=20, d=16), psi=4, t=5, seed=0)
+        assert model.transform(np.empty((0, 16))).shape == (0, 5)
+
+
+class TestPrunedScan:
+    """The cdist properties the screen's leaf selection and its rescans use."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-162, 1e150])
+    @pytest.mark.parametrize("d", [2, 5, 7])
+    def test_cdist_of_a_center_subset_is_the_full_cdist(self, d, scale):
+        # a pair's cdist value depends on neither the other rows of the call,
+        # their order or repeats (the rescans take a subset of the rows), nor
+        # on the argument order (the leaf selection's argument)
+        rng = np.random.default_rng(d)
+        X, C = rng.normal(size=(37, d)) * scale, rng.normal(size=(29, d)) * scale
+        full = cdist(X, C)
+        rows = np.concatenate([rng.permutation(37)[:11], rng.integers(0, 37, size=14)])
+        cols = np.concatenate([rng.permutation(29)[:11], rng.integers(0, 29, size=14)])
+        assert np.array_equal(cdist(X[rows], C), full[rows])
+        assert np.array_equal(cdist(C[cols], X[5:18]), full[5:18, cols].T)
+
+
+class TestPrunedScreen:
+    """The GEMM screen scores fewer centers where a leaf's rows are far from
+    most of them."""
 
     def test_separated_blobs_score_a_fraction_of_the_centers(self, monkeypatch):
         # 8 unit Gaussians, centers uniform in [-10, 10]^64: a leaf keeps about
@@ -591,27 +525,21 @@ def pool_spy(monkeypatch):
 
 
 class TestWorkers:
-    """transform's cells do not depend on WORKERS, SCAN_LEAF, SCAN_BLOCK or
-    SCREEN_BLOCK, on either the exact scan (d=2) or the screen (d=16, 64)."""
+    """transform's cells do not depend on WORKERS, SCAN_LEAF or SCREEN_BLOCK."""
 
     @pytest.mark.parametrize("d", [2, 16, 64])
     def test_cells_independent_of_workers_and_block(self, monkeypatch, pool_spy, d):
         model, queries = worker_inputs(d)
         expected = {name: oracle_cells(model, X) for name, X in queries.items()}
-        screen = d >= ikernel.GEMM_MIN_DIM
         pools = set()
         for workers in (1, 2, 4):
-            if screen:  # leaves of at most 3 rows or one leaf; one partitioning and
-                # one row per call, 3 rows of scores per call, or the default block
-                knob = "SCREEN_BLOCK"
-                sizes = ((3, 5), (3, ikernel.SCREEN_BLOCK), (ikernel.SCAN_LEAF, 3 * model.psi),
-                         (ikernel.SCAN_LEAF, ikernel.SCREEN_BLOCK))
-            else:  # leaves of at most 3 rows, default
-                knob, sizes = "SCAN_BLOCK", ((3, ikernel.SCAN_BLOCK), (ikernel.SCAN_LEAF, ikernel.SCAN_BLOCK))
-            for leaf, block in sizes:
+            # leaves of at most 3 rows or one leaf; one partitioning and one row
+            # per call, 3 rows of scores per call, or the default block
+            for leaf, block in ((3, 5), (3, ikernel.SCREEN_BLOCK), (ikernel.SCAN_LEAF, 3 * model.psi),
+                                (ikernel.SCAN_LEAF, ikernel.SCREEN_BLOCK)):
                 monkeypatch.setattr(ikernel, "WORKERS", workers)
                 monkeypatch.setattr(ikernel, "SCAN_LEAF", leaf)
-                monkeypatch.setattr(ikernel, knob, block)
+                monkeypatch.setattr(ikernel, "SCREEN_BLOCK", block)
                 for name, X in queries.items():
                     pool_spy.clear()
                     cells = model.transform(X)
@@ -626,7 +554,7 @@ class TestWorkers:
     def test_more_workers_than_partitionings(self, monkeypatch, pool_spy, t):
         # 8 workers scan 4 leaves on 4 threads; one leaf and one partitioning
         # leave one task for the screen and one for the rescans, so no pool
-        model, queries = worker_inputs(ikernel.GEMM_MIN_DIM, t=t)
+        model, queries = worker_inputs(3, t=t)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 40 if t == 3 else ikernel.SCAN_LEAF)
         for name, X in queries.items():
@@ -648,13 +576,13 @@ class TestWorkers:
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
         # a lost or misplaced write of a shared output would show as a
-        # difference from the inline scan; one row per leaf and per cdist
-        # call, 8 threads
+        # difference from the inline scan; one row per leaf and one
+        # partitioning per GEMM, 8 threads
         model, queries = worker_inputs(2)
         X = queries["gaussian"]
         expected = model.transform(X)
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 1)
-        monkeypatch.setattr(ikernel, "SCAN_BLOCK", 1)
+        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", 1)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -668,7 +596,7 @@ class TestWorkers:
         # a task writing outside its leaves' rows would show as a difference
         # from the oracle; leaves of at most 3 rows on 8 threads, two
         # partitionings per call where a leaf keeps every center
-        model, queries = worker_inputs(ikernel.GEMM_MIN_DIM)
+        model, queries = worker_inputs(3)
         expected = {name: oracle_cells(model, X) for name, X in queries.items()}
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 3)
         monkeypatch.setattr(ikernel, "SCREEN_BLOCK", 8 * 2 * model.psi * 3)
@@ -683,13 +611,19 @@ class TestWorkers:
             sys.setswitchinterval(interval)
 
     def test_single_block_starts_no_pool(self, monkeypatch, pool_spy):
+        # one leaf is screened inline, on the calling thread (its rescans may
+        # start their own pool); two leaves start a pool of 2 threads first
         model, queries = worker_inputs(2)
+        threads, screen = [], ikernel._screen_cells
+        monkeypatch.setattr(ikernel, "_screen_cells",
+                            lambda *args: threads.append(threading.current_thread()) or screen(*args))
         monkeypatch.setattr(ikernel, "WORKERS", 2)
         model.transform(queries["gaussian"])  # 103 rows, one default leaf
-        assert pool_spy == []
+        assert set(threads) == {threading.current_thread()}
+        threads.clear()
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 60)
         model.transform(queries["gaussian"])  # two leaves
-        assert pool_spy == [2]
+        assert pool_spy[:1] == [2] and threading.current_thread() not in threads
 
 
 def gdk_sets(X, Y, bandwidth):

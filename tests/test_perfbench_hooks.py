@@ -28,7 +28,7 @@ def test_every_target_is_defined_on_its_owner(tracer):
     assert not missing
 
 
-@pytest.mark.parametrize("d", [2, 16])  # the exact scan and the screen
+@pytest.mark.parametrize("d", [2, 16])  # the 2-d workloads' d and a higher one
 def test_traced_transform_returns_int32_cells(tracer, d):
     X = rng_data(3, n=25, d=d)
     model = fit_isolation_model(X, psi=5, t=7, seed=0)
