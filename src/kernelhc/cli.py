@@ -116,11 +116,13 @@ def _run_kernel_pipeline(ds, args):
 
 
 def _load_input(path, label_col):
-    """The dataset CSV at path; its label_col column holds the labels when the
-    header has one, and the rest are features. Unlabeled input is read whole."""
-    with open(path, newline="") as f:
-        labeled = label_col in next(csv.reader(f), [])
-    return datasets.load_csv(path, label_column=label_col if labeled else None)
+    """The dataset CSV at path. A label_col given must be in the header and
+    holds the labels; without one, a "label" column does when the header has
+    it. The rest are features, so unlabeled input is read whole."""
+    if label_col is None:
+        with open(path, newline="") as f:
+            label_col = "label" if "label" in next(csv.reader(f), []) else None
+    return datasets.load_csv(path, label_column=label_col)
 
 
 def cmd_cluster(args) -> int:
@@ -207,9 +209,7 @@ def cmd_eval(args) -> int:
     if {"purity", "nmi", "ari"} & set(wanted):
         if not args.labels:
             raise ValueError("--labels is required for purity/nmi/ari")
-        labels = datasets.load_csv(args.labels, label_column=args.label_col).labels
-        if labels is None:
-            raise ValueError(f"no {args.label_col!r} column in {args.labels}")
+        labels = datasets.load_csv(args.labels, label_column=args.label_col or "label").labels
 
     report = {}
     if "purity" in wanted:
@@ -354,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("cluster", help="cluster a CSV dataset")
     c.add_argument("--in", dest="infile", required=True)
-    c.add_argument("--label-col", default="label",
-                   help="label column, left out of the features when the header has it")
+    c.add_argument("--label-col", default=None,
+                   help="label column, left out of the features; default: label, if present")
     c.add_argument("--algo", choices=["hkc", "bisect-kmeans", "ahc"], default="hkc")
     c.add_argument("--k", type=int, required=True)
     c.add_argument("--psi", type=int, default=16)
@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="score a saved dendrogram")
     e.add_argument("--tree", required=True)
     e.add_argument("--labels", default=None, help="CSV holding the label column")
-    e.add_argument("--label-col", default="label")
+    e.add_argument("--label-col", default=None)
     e.add_argument("--metrics", default="purity")
     e.add_argument("--in", dest="infile", default=None)
     e.add_argument("--model", default=None)

@@ -7,6 +7,8 @@ the sum over leaves of each member point's similarity to its own leaf's
 distribution. Contracting two sibling leaves merges them into their parent
 and can only lower that objective by at most the distance between the two
 leaf embeddings, which is what the bound checks in the test suite verify.
+Both need only the k x k Gram K(P_a, P_b) of the leaves (``ops.gram``),
+as does agglomeration over core clusters.
 
 Trees remember the order their internal nodes were created in; replaying
 that order backwards yields the canonical contraction sequence used by the
@@ -123,8 +125,8 @@ class Dendrogram:
             raise AssertionError("split order does not cover the internal nodes")
         if self.is_finalized:
             pts = np.concatenate([leaf.points for leaf in self.leaves()])
-            if len(np.unique(pts)) != len(pts):
-                raise AssertionError("finalized leaf point sets overlap")
+            if not np.array_equal(np.sort(pts), np.arange(len(pts))):
+                raise AssertionError("finalized leaves do not hold points 0..n-1 once each")
 
     # -- finalization ------------------------------------------------------
 
@@ -193,11 +195,15 @@ class Dendrogram:
             if rec["children"] is not None:
                 node.left, node.right = rec["children"]
             nodes[node.id] = node
-        for node in nodes.values():
-            if not node.is_leaf:
-                nodes[node.left].parent = node.id
-                nodes[node.right].parent = node.id
-        return cls(nodes=nodes, root=obj["root"], split_order=obj["split_order"])
+        tree = cls(nodes=nodes, root=obj["root"], split_order=obj["split_order"])
+        try:
+            for node in nodes.values():
+                if not node.is_leaf:
+                    nodes[node.left].parent = nodes[node.right].parent = node.id
+            tree.validate()
+        except (KeyError, AssertionError) as e:
+            raise ValueError(f"malformed dendrogram: {e!r}") from e
+        return tree
 
 
 def leaf_labels(tree: Dendrogram) -> np.ndarray:
@@ -229,10 +235,16 @@ def total_similarity(ops, groups) -> float:
     return sum(len(g) * ops.set_similarity(g, g) for g in groups if len(g))
 
 
-def tsc(tree: Dendrogram, ops) -> float:
-    """Sum over leaves of each point's similarity to its own leaf."""
+def _check_rows(tree: Dendrogram, ops) -> None:
     if not tree.is_finalized:
         raise ValueError("tree must be finalized before computing the objective")
+    if ops.n != tree.n_points:
+        raise ValueError(f"the kernel covers {ops.n} points but the tree holds {tree.n_points}")
+
+
+def tsc(tree: Dendrogram, ops) -> float:
+    """Sum over leaves of each point's similarity to its own leaf."""
+    _check_rows(tree, ops)
     return total_similarity(ops, [leaf.points for leaf in tree.leaves()])
 
 
@@ -254,50 +266,43 @@ def contraction_trace(tree: Dendrogram, ops, stop_at: int = 1) -> list:
     """Replay the canonical contraction sequence down to ``stop_at`` leaves.
 
     Returns one ContractionStep per contraction, carrying the sibling
-    embedding gap and the objective on both sides of the merge. ``ops`` must
-    give finite mean embeddings as group states (ikernel.IdkOps). Everything
-    after the leaf embeddings is vector algebra: a merged leaf's embedding is
-    the size-weighted mean of its children's, and a leaf of m points with
-    embedding mu adds m * |mu|^2 to the objective.
+    embedding gap and the objective on both sides of the merge. It reads
+    one ``ops.gram`` of the leaves; the rest is k x k algebra on
+    W[a, b] = |a| |b| K(P_a, P_b), which adds up over merges. A node a of m
+    points has mean map mu_a with |mu_a|^2 = W[a, a] / m^2 and adds
+    m |mu_a|^2 to the objective; an empty leaf's mean map is taken as 0.
     """
-    if not tree.is_finalized:
-        raise ValueError("tree must be finalized")
+    _check_rows(tree, ops)
     n = tree.n_points
     leaves = tree.leaves()
-    state = {}  # node id -> (size, embedding, objective term)
-    for leaf in leaves:
-        m = len(leaf.points)
-        # the scalar 0.0 stands in for an empty leaf's zero embedding
-        emb = ops.group_state(leaf.points) if m else 0.0
-        state[leaf.id] = (m, emb, m * float(np.dot(emb, emb)))
+    row = {leaf.id: i for i, leaf in enumerate(leaves)}  # node id -> its row of W
+    m = np.array([len(leaf.points) for leaf in leaves], dtype=np.float64)
+    full = np.nonzero(m)[0]
+    W = np.zeros((len(leaves), len(leaves)))
+    W[np.ix_(full, full)] = ops.gram([leaves[i].points for i in full]) * np.outer(m[full], m[full])
+
+    def inner(a, b):  # <mu_a, mu_b>
+        return W[a, b] / (m[a] * m[b]) if m[a] and m[b] else 0.0
 
     steps = []
-    tsc_sum = sum(v[2] for v in state.values())
+    tsc_sum = sum(m[a] * inner(a, a) for a in range(len(leaves)))
     q = len(leaves)
     for nid in tree.contraction_order():
         if q <= stop_at:
             break
         node = tree.nodes[nid]
-        n1, emb1, term1 = state.pop(node.left)
-        n2, emb2, term2 = state.pop(node.right)
-        alpha = float(np.linalg.norm(emb1 - emb2))
-        m = n1 + n2
-        emb = (n1 * emb1 + n2 * emb2) / m if m else emb1
-        term = m * float(np.dot(emb, emb))
+        a, b = row.pop(node.left), row.pop(node.right)
+        alpha = float(np.sqrt(max(inner(a, a) + inner(b, b) - 2 * inner(a, b), 0.0)))
         before = tsc_sum / n
-        tsc_sum = tsc_sum - term1 - term2 + term
-        after = tsc_sum / n
-        state[nid] = (m, emb, term)
+        tsc_sum -= m[a] * inner(a, a) + m[b] * inner(b, b)
+        W[a] += W[b]
+        W[:, a] += W[:, b]
+        m[a] += m[b]
+        tsc_sum += m[a] * inner(a, a)
+        row[nid] = a
         q -= 1
-        steps.append(
-            ContractionStep(
-                node_id=nid,
-                leaves_after=q,
-                alpha=alpha,
-                tsc_local_before=before,
-                tsc_local_after=after,
-            )
-        )
+        steps.append(ContractionStep(node_id=nid, leaves_after=q, alpha=alpha,
+                                     tsc_local_before=before, tsc_local_after=tsc_sum / n))
     return steps
 
 
@@ -423,11 +428,6 @@ def single_linkage_tree(M: np.ndarray) -> Dendrogram:
 
 def ahc_build(cores, ops) -> Dendrogram:
     """Single-linkage agglomeration of core clusters under the set kernel."""
-    k = cores.k
-    if k < 2:
-        raise ValueError(f"need at least 2 core clusters, got {k}")
-    M = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            M[i, j] = M[j, i] = ops.set_similarity(cores.clusters[i], cores.clusters[j])
-    return single_linkage_tree(M)
+    if cores.k < 2:
+        raise ValueError(f"need at least 2 core clusters, got {cores.k}")
+    return single_linkage_tree(ops.gram(cores.clusters))

@@ -92,9 +92,9 @@ def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
 
     Every multi-cluster leaf is split by its two largest clusters (by point
     count, ties to the smaller ID): each remaining cluster joins the anchor
-    it is more similar to under the set kernel, anchors stay on their own
-    side, and similarity ties go to the first anchor. Splitting continues
-    until every leaf holds exactly one cluster.
+    it is more similar to under the set kernel (one ``ops.gram`` of the
+    clusters), anchors stay on their own side, and similarity ties go to the
+    first anchor. Splitting continues until every leaf holds one cluster.
 
     The returned tree carries a ``split_records`` attribute listing, per
     split, the anchors and each non-anchor cluster's similarity to both.
@@ -102,6 +102,7 @@ def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
     if cores.k < 2:
         raise ValueError(f"need at least 2 core clusters, got {cores.k}")
     sizes = cores.sizes()
+    G = ops.gram(cores.clusters)
     tree = dendro.Dendrogram.seed(range(cores.k))
     records = []
     while True:
@@ -112,12 +113,9 @@ def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
             ids = sorted(leaf.cluster_ids, key=lambda c: (-sizes[c], c))
             a1, a2 = ids[0], ids[1]
             left, right = [a1], [a2]
-            sims = {}
+            sims = {c: (float(G[c, a1]), float(G[c, a2])) for c in ids[2:]}
             for c in ids[2:]:
-                s1 = ops.set_similarity(cores.clusters[c], cores.clusters[a1])
-                s2 = ops.set_similarity(cores.clusters[c], cores.clusters[a2])
-                sims[c] = (s1, s2)
-                (left if s1 >= s2 else right).append(c)
+                (left if sims[c][0] >= sims[c][1] else right).append(c)
             tree.split(leaf.id, left, right)
             records.append({"node": leaf.id, "anchors": (a1, a2), "sims": sims})
     tree.split_records = records

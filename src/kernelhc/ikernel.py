@@ -358,11 +358,11 @@ def median_heuristic_bandwidth(X: np.ndarray, max_points: int = 1000, seed: int 
 # ---------------------------------------------------------------------------
 # Kernel backends
 #
-# The clustering pipeline only ever needs four queries; both kernels expose
+# The clustering pipeline only ever needs five queries; both kernels expose
 # them behind the same duck-typed surface so the ablation is a constructor
 # swap. A "group state" is whatever the backend caches for one cluster: the
-# dense mean embedding for the isolation kernel, the member rows for the
-# Gaussian one (whose feature space is infinite dimensional).
+# integer cell counts and size for the isolation kernel, the member rows for
+# the Gaussian one (whose feature space is infinite dimensional).
 # ---------------------------------------------------------------------------
 
 class IdkOps:
@@ -370,14 +370,15 @@ class IdkOps:
 
     Row i of Phi (n x t*psi, CSR) is point i's feature map: 1/sqrt(t) in
     column j*psi + c for every partitioning j whose cell c covers the point.
-    ``onehot`` stores sqrt(t) * Phi, the 0/1 cell-incidence matrix, and each
-    query applies the weight once. Point kernels then come out as exact
-    fractions (shared cells) / t, so a threshold such as ``eps_sim = 0.3`` at
-    t = 200 admits a pair sharing 60 cells; summing 60 products
-    (1/sqrt(200))**2 gives 0.29999999999999993 instead.
-
-    The kernel mean map of a group is the mean of its rows, and every
-    similarity is an inner product of rows and means (Ting et al., KDD 2020).
+    ``onehot`` stores sqrt(t) * Phi, the 0/1 cell-incidence matrix. A group
+    is kept as its integer cell counts (``onehot``'s column sums over its
+    rows) and its size m, so its kernel mean map is counts / (m sqrt(t)), and
+    every similarity is an integer divided once by an integer: a point's
+    shared cells over m t, two groups' count product over |a| |b| t (Ting et
+    al., KDD 2020). These are exact, correctly rounded fractions while
+    |a| |b| t < 2^53; a threshold such as ``eps_sim = 0.3`` at t = 200 then
+    admits a pair sharing 60 cells, where summing 60 products
+    (1/sqrt(200))**2 gives 0.29999999999999993.
     """
 
     def __init__(self, onehot: sparse.csr_matrix, t: int):
@@ -416,22 +417,26 @@ class IdkOps:
     def take(self, rows: np.ndarray) -> "IdkOps":
         return IdkOps(self.onehot[np.asarray(rows)], self.t)
 
-    def group_state(self, rows: np.ndarray) -> np.ndarray:
-        """Mean of the rows of Phi: the group's kernel mean map."""
+    def group_state(self, rows: np.ndarray) -> tuple:
+        """The group's cell counts, per column of Phi, and its size m."""
         rows = np.asarray(rows)
         if len(rows) == 0:
             raise ValueError("cannot embed an empty point set")
-        counts = np.bincount(self.onehot[rows].indices, minlength=self.onehot.shape[1])
-        return counts / (len(rows) * math.sqrt(self.t))
+        return np.bincount(self.onehot[rows].indices, minlength=self.onehot.shape[1]), len(rows)
 
-    def point_to_state(self, state: np.ndarray) -> np.ndarray:
-        """Phi @ state: every point's similarity to one group."""
-        return (self.onehot @ state) / math.sqrt(self.t)
+    def point_to_state(self, state: tuple) -> np.ndarray:
+        """Every point's similarity to one group: its shared cells / (m t)."""
+        counts, m = state
+        return (self.onehot @ counts) / (m * self.t)
+
+    def gram(self, groups) -> np.ndarray:
+        """K(P_a, P_b) for every pair of groups: count products / (|a| |b| t)."""
+        counts, sizes = zip(*map(self.group_state, groups))
+        C, m = np.array(counts, dtype=np.float64), np.array(sizes, dtype=np.float64)
+        return (C @ C.T) / (np.outer(m, m) * self.t)
 
     def set_similarity(self, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
-        mean_a = self.group_state(rows_a)
-        mean_b = mean_a if rows_b is rows_a else self.group_state(rows_b)
-        return float(mean_a @ mean_b)
+        return float(self.gram([rows_a] if rows_b is rows_a else [rows_a, rows_b])[0, -1])
 
     def point_row(self, i: int) -> np.ndarray:
         """Phi Phi_i^T: point kernel between point i and every point."""
@@ -502,6 +507,11 @@ class GdkOps:
     def set_similarity(self, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
         return float(self._row_means(self.X[self.group_state(rows_a)],
                                      self.X[self.group_state(rows_b)]).mean())
+
+    def gram(self, groups) -> np.ndarray:
+        G = np.array([[self.set_similarity(a, b) if i <= j else 0.0 for j, b in enumerate(groups)]
+                      for i, a in enumerate(groups)])  # the upper triangle, mirrored
+        return np.triu(G) + np.triu(G, 1).T
 
     def point_row(self, i: int) -> np.ndarray:
         return self._rbf(self.X, self.X[i][None, :])[:, 0]

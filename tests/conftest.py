@@ -6,6 +6,7 @@ that agreement between the two is meaningful.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ def oracle_mean_pairwise(model, X, Y):
         for y in Y:
             total += oracle_point_kernel(model, x, y)
     return total / (len(X) * len(Y))
+
+
+def oracle_gram(model, X, groups):
+    """K(P_a, P_b) for every pair of groups (lists of rows of X): the exact
+    fraction (cells shared over all point pairs) / (|a| |b| t), rounded once."""
+    cells = oracle_cells(model, X)
+
+    def shared(i, j):
+        return sum(1 for a, b in zip(cells[i], cells[j]) if a >= 0 and a == b)
+
+    return np.array([[float(Fraction(sum(shared(i, j) for i in ga for j in gb),
+                                     len(ga) * len(gb) * model.t))
+                      for gb in groups] for ga in groups])
 
 
 def oracle_gdk(X, Y, bandwidth):

@@ -58,12 +58,7 @@ class TestLinkageThreshold:
         cores = tuned_run.cores
         ops_sub = tuned_run.feats.take(cores.subset_indices)
         tau = PAPER_ANALOG_TUNED["tau"]
-        k = cores.k
-        M = np.zeros((k, k))
-        for i in range(k):
-            for j in range(i + 1, k):
-                M[i, j] = M[j, i] = ops_sub.set_similarity(
-                    cores.clusters[i], cores.clusters[j])
+        M = ops_sub.gram(cores.clusters)
         for node in tuned_run.tree.nodes.values():
             if node.is_leaf:
                 continue

@@ -158,6 +158,13 @@ class TestCluster:
         assert IsolationModel.load(whole / "model.npz").centers.shape[2] == 3
         assert "purity" not in json.loads((whole / "manifest.json").read_text())["metrics"]
 
+    def test_named_label_column_must_exist(self, blob_csv, tmp_path, capsys):
+        # only the default "label" is optional; a misspelt name is no silent no-op
+        capsys.readouterr()
+        assert main(cluster_args(blob_csv, tmp_path / "o", "--label-col", "lable")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o" / "tree.json").exists()
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = main(["cluster", "--in", str(tmp_path / "missing.csv"),
                    "--k", "2", "--out-dir", str(tmp_path / "o")])
@@ -205,6 +212,50 @@ class TestEval:
         report = json.loads(report_path.read_text())
         assert report["tsc_local"] == pytest.approx(
             manifest["metrics"]["tsc_local_after_refine"], abs=1e-12)
+
+    def test_tsc_input_named_label_column_must_exist(self, blob_csv, tmp_path, capsys):
+        # an unlabeled input is read whole only when no --label-col is given
+        out = tmp_path / "run"
+        main(cluster_args(blob_csv, out))
+        unlabeled = tmp_path / "unlabeled.csv"
+        unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                     for line in blob_csv.read_text().splitlines()))
+        tsc = ["eval", "--tree", str(out / "tree.json"), "--metrics", "tsc",
+               "--in", str(unlabeled), "--model", str(out / "model.npz")]
+        assert main(tsc) == 0
+        capsys.readouterr()
+        assert main([*tsc, "--label-col", "label"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_tsc_input_rows_must_match_the_tree(self, blob_csv, tmp_path, capsys):
+        # every row twice, and the first half: the tree holds 80 points
+        out = tmp_path / "run"
+        main(cluster_args(blob_csv, out))
+        header, *rows = blob_csv.read_text().splitlines(keepends=True)
+        for name, kept in (("twice", rows + rows), ("half", rows[:40])):
+            path = tmp_path / f"{name}.csv"
+            path.write_text(header + "".join(kept))
+            capsys.readouterr()
+            assert main(["eval", "--tree", str(out / "tree.json"), "--metrics", "tsc",
+                         "--in", str(path), "--model", str(out / "model.npz")]) == 2, name
+            assert "80" in capsys.readouterr().err, name
+
+    def test_malformed_tree_exits_2(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(cluster_args(blob_csv, out))
+        # the root's children name missing nodes; a leaf point is out of range
+        for case in ("children", "points"):
+            doc = json.loads((out / "tree.json").read_text())
+            if case == "children":
+                next(node for node in doc["nodes"] if node["id"] == doc["root"])["children"] = [99, 98]
+            else:
+                next(node for node in doc["nodes"] if node["points"])["points"][-1] = 10**6
+            bad = tmp_path / f"{case}.json"
+            bad.write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert main(["eval", "--tree", str(bad), "--labels", str(blob_csv),
+                         "--metrics", "purity"]) == 2, case
+            assert capsys.readouterr().err.startswith("error: "), case
 
     def test_invalid_model_exits_2(self, blob_csv, tmp_path, capsys):
         # a model file whose psi disagrees with its centers, or with NaN radii

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,12 @@ from kernelhc import (
 )
 from kernelhc.baseline import _to_dendrogram
 from kernelhc.dendro import contraction_trace, leaf_labels, single_linkage_tree
+from kernelhc.ikernel import GdkOps
 
 from conftest import (
     contract,
+    oracle_gdk,
+    oracle_gram,
     oracle_mean_pairwise,
     oracle_point_kernel,
     oracle_point_vector,
@@ -91,6 +96,26 @@ class TestStructure:
             if node.points is not None:
                 assert np.array_equal(node.points, other.points)
 
+    def test_malformed_json_rejected(self):
+        doc = json.loads(random_partition_tree(3, n=12, k=5).to_json())
+        root = next(node for node in doc["nodes"] if node["id"] == doc["root"])
+
+        def with_root_children(children):
+            return {**doc, "nodes": [{**node, "children": children} if node is root else node
+                                     for node in doc["nodes"]]}
+
+        def with_leaf_point(p):  # out of range, or a second copy of point 0
+            leaf = next(node for node in doc["nodes"] if node["points"] and 0 not in node["points"])
+            return {**doc, "nodes": [{**node, "points": node["points"][:-1] + [p]}
+                                     if node is leaf else node for node in doc["nodes"]]}
+
+        for bad, match in ((with_root_children([99, 98]), "99"),
+                           (with_root_children([root["children"][0]] * 2), "overlapping"),
+                           ({**doc, "split_order": doc["split_order"][1:]}, "split order"),
+                           (with_leaf_point(10**6), "0..n-1"), (with_leaf_point(0), "0..n-1")):
+            with pytest.raises(ValueError, match=match):
+                Dendrogram.from_json(json.dumps(bad))
+
     def test_newick_shape(self):
         tree = random_partition_tree(5, n=10, k=4)
         nwk = tree.to_newick()
@@ -132,6 +157,15 @@ class TestTsc:
         tree = Dendrogram.seed([0]).finalize(np.zeros(9, dtype=int))
         assert tsc_local(tree, ops) == pytest.approx(
             oracle_mean_pairwise(model, X, X), abs=1e-12)
+
+    def test_rows_must_match_the_tree(self):
+        X = rng_data(4, n=12)
+        tree = random_partition_tree(7, n=12, k=3)
+        for rows in (np.tile(np.arange(12), 2), np.arange(8)):
+            _, ops = fitted_ops(X[rows])
+            for score in (tsc, tsc_local, contraction_trace):
+                with pytest.raises(ValueError, match="12"):
+                    score(tree, ops)
 
     def test_unfinalized_rejected(self):
         X = rng_data(4, n=5)
@@ -178,6 +212,56 @@ class TestContract:
         tree = random_partition_tree(2, n=30, k=6)
         for step in contraction_trace(tree, ops):
             assert step.tsc_local_after >= step.tsc_local_before - step.alpha - 1e-9
+
+    @pytest.mark.parametrize("backend", ["idk", "gdk"])
+    def test_trace_replays_the_contract_oracle(self, backend):
+        X = rng_data(21, n=18, spread=2.0)
+        if backend == "idk":
+            model, ops = fitted_ops(X, psi=6)
+
+            def gap(a, b):
+                K = oracle_gram(model, X, [a, b])
+                return np.sqrt(K[0, 0] + K[1, 1] - 2 * K[0, 1])
+        else:
+            ops = GdkOps(X, bandwidth=0.5)
+
+            def gap(a, b):
+                return np.sqrt(oracle_gdk(X[a], X[a], 0.5) + oracle_gdk(X[b], X[b], 0.5)
+                               - 2 * oracle_gdk(X[a], X[b], 0.5))
+        tree = random_partition_tree(11, n=18, k=5)
+        steps = contraction_trace(tree, ops)
+        assert len(steps) == 4
+        current = tree
+        for step in steps:
+            node = current.nodes[step.node_id]
+            left, right = current.nodes[node.left], current.nodes[node.right]
+            assert step.tsc_local_before == pytest.approx(tsc_local(current, ops), abs=1e-12)
+            assert step.alpha == pytest.approx(gap(left.points, right.points), abs=1e-7)
+            current = contract(current, left.id, right.id)
+            assert step.leaves_after == current.k
+            assert step.tsc_local_after == pytest.approx(tsc_local(current, ops), abs=1e-12)
+
+    def test_trace_reads_one_gram(self, monkeypatch):
+        _, ops = fitted_ops(rng_data(9, n=30, spread=3.0), psi=6)
+        tree = random_partition_tree(2, n=30, k=6)
+        grams, gram = [], IdkOps.gram
+        monkeypatch.setattr(IdkOps, "gram", lambda self, g: grams.append(len(g)) or gram(self, g))
+        monkeypatch.setattr(IdkOps, "set_similarity", None)
+        assert len(contraction_trace(tree, ops)) == 5
+        assert grams == [6]
+
+    def test_empty_leaf_embeds_as_zero(self):
+        X = rng_data(22, n=10)
+        model, ops = fitted_ops(X)
+        tree = Dendrogram.seed([0, 1, 2])
+        left, _ = tree.split(tree.root, [0, 2], [1])
+        tree.split(left, [0], [2])
+        tree.finalize(np.array([0] * 6 + [1] * 4))  # no point in cluster 2
+        steps = contraction_trace(tree, ops)
+        K = oracle_gram(model, X, [np.arange(6), np.arange(6, 10), np.arange(10)])
+        assert steps[0].alpha == pytest.approx(np.sqrt(K[0, 0]), abs=1e-12)
+        assert steps[0].tsc_local_after == pytest.approx(steps[0].tsc_local_before, abs=1e-15)
+        assert steps[1].tsc_local_after == pytest.approx(K[2, 2], abs=1e-12)
 
     def test_full_contraction_sequence_stays_valid(self):
         tree = random_partition_tree(10, n=20, k=7)

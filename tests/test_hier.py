@@ -83,6 +83,18 @@ class TestBuildTree:
         s1, s2 = rec["sims"][2]
         assert s1 >= s2
 
+    @pytest.mark.parametrize("builder", [build_tree, ahc_build])
+    def test_reads_one_gram(self, builder, monkeypatch):
+        rng = np.random.default_rng(22)
+        X = np.vstack([rng.normal([i * 15, 0], 0.4, (12, 2)) for i in range(5)])
+        _, ops = fitted_ops(X, psi=6)
+        cores = cores_from_lists([range(12 * i, 12 * (i + 1)) for i in range(5)], 60)
+        grams, gram = [], IdkOps.gram
+        monkeypatch.setattr(IdkOps, "gram", lambda self, g: grams.append(len(g)) or gram(self, g))
+        monkeypatch.setattr(IdkOps, "set_similarity", None)
+        assert builder(cores, ops).k == 5
+        assert grams == [5]
+
     def test_single_cluster_rejected(self):
         X, _ = two_blobs(seed=23, n_per=10)
         _, ops = fitted_ops(X)

@@ -15,6 +15,7 @@ from kernelhc.ikernel import GdkOps, median_heuristic_bandwidth
 from conftest import (
     oracle_cells,
     oracle_gdk,
+    oracle_gram,
     oracle_mean_pairwise,
     oracle_point_kernel,
     oracle_point_vector,
@@ -25,6 +26,12 @@ from conftest import (
 def dense_phi(ops):
     """The feature matrix Phi as a dense array."""
     return ops.onehot.toarray() / math.sqrt(ops.t)
+
+
+def mean_map(ops, rows):
+    """A group's kernel mean map, counts / (m sqrt(t)), from its state."""
+    counts, m = ops.group_state(rows)
+    return counts / (m * math.sqrt(ops.t))
 
 
 def two_sets(model, X, Y):
@@ -176,21 +183,21 @@ class TestEmbedPoint:
 
 
 class TestEmbedDistribution:
-    """Group states: means of feature-matrix rows."""
+    """Group states: cell counts and sizes, whose ratio is the mean of the rows of Phi."""
 
     def test_singleton_equals_point_map(self, small_model):
         x = np.array([0.4, 0.6])
         ops = IdkOps.fit(small_model, x[None, :])
-        assert np.allclose(ops.group_state([0]), oracle_point_vector(small_model, x))
+        assert np.allclose(mean_map(ops, [0]), oracle_point_vector(small_model, x))
 
     def test_duplicates_do_not_move_the_mean(self, small_model):
         x = np.array([0.4, 0.6])
         ops = IdkOps.fit(small_model, np.vstack([x, x]))
-        assert np.allclose(ops.group_state([0, 1]), oracle_point_vector(small_model, x))
+        assert np.allclose(mean_map(ops, [0, 1]), oracle_point_vector(small_model, x))
 
     def test_mean_of_bruteforce_point_maps(self, small_model):
         pts = rng_data(13, n=10)
-        mean = IdkOps.fit(small_model, pts).group_state(np.arange(10))
+        mean = mean_map(IdkOps.fit(small_model, pts), np.arange(10))
         expected = np.mean([oracle_point_vector(small_model, x) for x in pts], axis=0)
         assert np.allclose(mean, expected, rtol=0, atol=1e-15)
 
@@ -200,7 +207,7 @@ class TestEmbedDistribution:
             ops.group_state(np.empty(0, dtype=np.int64))
 
     def test_norm_bounded_by_one(self, small_model):
-        mean = IdkOps.fit(small_model, rng_data(17, n=20)).group_state(np.arange(20))
+        mean = mean_map(IdkOps.fit(small_model, rng_data(17, n=20)), np.arange(20))
         assert np.linalg.norm(mean) <= 1.0 + 1e-12
 
 
@@ -233,7 +240,7 @@ class TestDistributionKernels:
     def test_self_similarity_builds_one_mean(self, small_model, monkeypatch):
         ops = IdkOps.fit(small_model, rng_data(19, n=8))
         rows = np.arange(8)
-        expected = float(ops.group_state(rows) @ ops.group_state(rows))
+        expected = float(mean_map(ops, rows) @ mean_map(ops, rows))
         calls = []
         group_state = IdkOps.group_state
         monkeypatch.setattr(IdkOps, "group_state",
@@ -251,7 +258,7 @@ class TestDistributionKernels:
     def test_dimension_mismatch_rejected(self, small_model):
         ops = IdkOps.fit(small_model, rng_data(1, n=4))
         with pytest.raises(ValueError, match="dimension"):
-            ops.point_to_state(np.zeros(3))
+            ops.point_to_state((np.zeros(3), 1))
 
     def test_point_to_dist_forms_agree(self, small_model):
         x = np.array([0.3, 0.7])
@@ -647,9 +654,56 @@ def test_empty_group_rejected(backend):
         ops = GdkOps(X, bandwidth=1.0)
     empty, rows = np.empty(0, dtype=np.int64), np.arange(3)
     for query in (lambda: ops.group_state(empty), lambda: ops.set_similarity(rows, empty),
-                  lambda: ops.set_similarity(empty, rows), lambda: ops.set_similarity([], [])):
+                  lambda: ops.set_similarity(empty, rows), lambda: ops.set_similarity([], []),
+                  lambda: ops.gram([rows, empty])):
         with pytest.raises(ValueError, match="cannot embed an empty point set"):
             query()
+
+
+def test_backends_expose_the_same_queries():
+    def public(cls):
+        return {name for name in vars(cls) if not name.startswith("_")}
+    assert public(IdkOps) - {"fit"} == public(GdkOps)
+    assert {"group_state", "point_to_state", "set_similarity", "gram", "point_row",
+            "pairwise"} <= public(GdkOps)
+
+
+class TestGram:
+    """One k x k matrix K(P_a, P_b) over groups of rows."""
+
+    def test_idk_gram_is_the_exact_fraction(self, small_model):
+        # duplicates, within a group and across rows, and a row no cell covers
+        X = np.vstack([rng_data(67, n=9), rng_data(67, n=2), [[1e6, -1e6]]])
+        ops = IdkOps.fit(small_model, X)
+        assert ops.onehot[11].nnz == 0
+        groups = [np.arange(4), np.array([0, 0, 9]), np.arange(4, 11), np.array([11]),
+                  np.array([2, 11, 10])]
+        G = ops.gram(groups)
+        assert np.array_equal(G, oracle_gram(small_model, X, groups))
+        assert np.array_equal(G, G.T) and np.all(G[3] == 0.0)
+        for i, a in enumerate(groups):
+            assert ops.set_similarity(a, a) == G[i, i]
+            for j, b in enumerate(groups):
+                assert ops.set_similarity(a, b) == G[i, j]
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**20), psi=st.integers(2, 8), t=st.sampled_from([3, 7, 24]))
+    def test_idk_gram_property(self, seed, psi, t):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(12, 2))
+        model = fit_isolation_model(X, psi=psi, t=t, seed=seed)
+        groups = [rng.integers(0, 12, size=rng.integers(1, 9)) for _ in range(3)]
+        assert np.array_equal(IdkOps.fit(model, X).gram(groups), oracle_gram(model, X, groups))
+
+    def test_gdk_gram_matches_double_sums(self):
+        X = rng_data(71, n=14)
+        ops = GdkOps(X, bandwidth=0.4)
+        groups = [np.arange(5), np.arange(5, 9), np.array([9, 9, 13]), np.arange(14)]
+        G = ops.gram(groups)
+        assert np.array_equal(G, G.T)
+        for i, a in enumerate(groups):
+            for j, b in enumerate(groups):
+                assert G[i, j] == pytest.approx(oracle_gdk(X[a], X[b], 0.4), abs=1e-12)
 
 
 class TestGdk:
