@@ -93,26 +93,11 @@ def cmd_generate(args) -> int:
 # cluster
 # ---------------------------------------------------------------------------
 
-def _run_kernel_pipeline(ds, args):
-    config = hier.RunConfig(
-        k=args.k,
-        psi=args.psi,
-        t=args.t,
-        tau=args.tau,
-        rho=args.rho,
-        s=args.subset_size,
-        seed=args.seed,
-        clusterer=args.clusterer,
-        refine=not args.no_refine,
-        kernel=args.kernel,
-        bandwidth=args.bandwidth,
-        eps_sim=args.eps_sim,
-        min_pts=args.min_pts,
-        restarts=args.restarts,
-        tree_method="ahc" if args.algo == "ahc" else "divisive",
-    )
-    result = hier.run(ds.points, config)
-    return result, dataclasses.asdict(config)
+def _run_config(args) -> hier.RunConfig:
+    """The RunConfig the cluster flags set: one flag per field, except
+    tree_method, which --algo ahc sets."""
+    config = hier.RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(hier.RunConfig)})
+    return dataclasses.replace(config, tree_method="ahc") if args.algo == "ahc" else config
 
 
 def _load_input(path, label_col):
@@ -139,11 +124,11 @@ def cmd_cluster(args) -> int:
         tree = baseline.bisect_kmeans(ds.points, config)
         warnings.extend(getattr(tree, "warnings", []))
         assignments = dendro.leaf_labels(tree)
-        config_doc = dataclasses.asdict(config)
         model = None
         extra = {"k_effective": tree.k, "iterations": 0}
     else:
-        result, config_doc = _run_kernel_pipeline(ds, args)
+        config = _run_config(args)
+        result = hier.run(ds.points, config)
         tree = result.tree
         assignments = result.assignments
         warnings.extend(result.warnings)
@@ -154,7 +139,7 @@ def cmd_cluster(args) -> int:
             dendro.annotate_alphas(tree, result.feats)
             extra["transform_workers"] = ikernel.WORKERS
             extra["kernel_coverage"] = result.feats.onehot.nnz / (result.feats.n * result.feats.t)
-        if args.clusterer == "kpskc":
+        if config.clusterer == "kpskc":
             meta = result.cores.meta
             extra["kpskc"] = {"growth_steps": [len(g) for g in meta["gamma_traces"]],
                               "scored_sets": meta["scored_sets"],
@@ -182,7 +167,7 @@ def cmd_cluster(args) -> int:
         metric_values["ari"] = metrics.ari(flat, ds.labels)
 
     manifest = out / "manifest.json"
-    _write_manifest(manifest, "cluster", {"algo": args.algo, **config_doc},
+    _write_manifest(manifest, "cluster", {"algo": args.algo, **dataclasses.asdict(config)},
                     args.seed, args.infile, outputs, timings, metric_values,
                     warnings, extra)
     for key, val in metric_values.items():
@@ -277,27 +262,26 @@ def _parse_sizes(text: str):
     return factors
 
 
-def run_scaleup(factors, repeats, seed, k=datasets.PAPER_ANALOG_K, psi=16,
-                t=200, tau=0.01, rho=0.1, s=2000, restarts=10):
-    """Time the kernel pipeline and bisecting k-means on scaled copies of
-    the analog dataset; returns a list of row dicts (min over repeats)."""
+def run_scaleup(factors, repeats, seed, config: hier.RunConfig):
+    """Time the kernel pipeline under config, and bisecting k-means with its
+    k, restarts and seed, on copies of the analog dataset scaled by each
+    factor and generated from seed. The subset size is capped at each copy's
+    n. Returns a list of row dicts (min over repeats)."""
+    bisect = baseline.BisectConfig(k=config.k, restarts=config.restarts, seed=config.seed)
     rows = []
     for factor in factors:
         comps = [dataclasses.replace(c, size=max(1, int(round(c.size * factor))))
                  for c in datasets.PAPER_ANALOG_COMPONENTS]
         ds = datasets.generate_mixture(comps, seed, name=f"analog-{factor}x")
         n = ds.n
-        config = hier.RunConfig(k=k, psi=psi, t=t, tau=tau, rho=rho,
-                                s=min(s, n), seed=seed)
+        sized = dataclasses.replace(config, s=min(config.subset_size(n), n))
         hkc_times, bkm_times = [], []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            hier.run(ds.points, config)
+            hier.run(ds.points, sized)
             hkc_times.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            baseline.bisect_kmeans(
-                ds.points, baseline.BisectConfig(k=k, restarts=restarts, seed=seed)
-            )
+            baseline.bisect_kmeans(ds.points, bisect)
             bkm_times.append(time.perf_counter() - t0)
         rows.append({"factor": factor, "n": n,
                      "hkc_seconds": min(hkc_times),
@@ -308,9 +292,9 @@ def run_scaleup(factors, repeats, seed, k=datasets.PAPER_ANALOG_K, psi=16,
 def cmd_bench(args) -> int:
     factors = _parse_sizes(args.sizes)
     out = _out_dir(args)
-    rows = run_scaleup(factors, args.repeats, args.seed, psi=args.psi,
-                       tau=args.tau, s=args.subset_size or 2000,
-                       restarts=args.restarts)
+    config = hier.RunConfig(**datasets.PAPER_ANALOG_TUNED)
+    print(f"config: {config}")
+    rows = run_scaleup(factors, args.repeats, args.seed, config)
     csv_path = out / "scaleup.csv"
     with open(csv_path, "w") as f:
         f.write("factor,n,hkc_seconds,bisect_seconds\n")
@@ -318,6 +302,7 @@ def cmd_bench(args) -> int:
             f.write(f"{r['factor']},{r['n']},{r['hkc_seconds']:.6f},{r['bisect_seconds']:.6f}\n")
     ns = [r["n"] for r in rows]
     summary = {
+        "config": dataclasses.asdict(config),
         "rows": rows,
         "hkc_prefers_linear": prefers_linear(ns, [r["hkc_seconds"] for r in rows]),
         "bisect_prefers_linear": prefers_linear(ns, [r["bisect_seconds"] for r in rows]),
@@ -358,22 +343,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="label column, left out of the features; default: label, if present")
     c.add_argument("--algo", choices=["hkc", "bisect-kmeans", "ahc"], default="hkc")
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--psi", type=int, default=16)
-    c.add_argument("--t", type=int, default=200)
-    c.add_argument("--tau", type=float, default=0.01)
-    c.add_argument("--rho", type=float, default=0.1)
-    c.add_argument("--subset-size", type=int, default=None)
-    c.add_argument("--kernel", choices=["idk", "gdk"], default="idk")
-    c.add_argument("--bandwidth", type=float, default=None)
-    c.add_argument("--clusterer", choices=["kpskc", "kmeans", "ik-dbscan"],
-                   default="kpskc")
-    c.add_argument("--eps-sim", type=float, default=0.15)
-    c.add_argument("--min-pts", type=int, default=5)
-    c.add_argument("--restarts", type=int, default=10)
-    c.add_argument("--no-refine", action="store_true")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--psi", type=int)
+    c.add_argument("--t", type=int)
+    c.add_argument("--tau", type=float)
+    c.add_argument("--rho", type=float)
+    c.add_argument("--subset-size", dest="s", type=int)
+    c.add_argument("--kernel", choices=hier.KERNELS)
+    c.add_argument("--bandwidth", type=float)
+    c.add_argument("--clusterer", choices=hier.CLUSTERERS)
+    c.add_argument("--eps-sim", type=float)
+    c.add_argument("--min-pts", type=int)
+    c.add_argument("--restarts", type=int)
+    c.add_argument("--no-refine", dest="refine", action="store_false")
+    c.add_argument("--seed", type=int)
     c.add_argument("--out-dir", default=None)
-    c.set_defaults(func=cmd_cluster)
+    # every RunConfig field defaults to RunConfig's own default
+    c.set_defaults(func=cmd_cluster, **{f.name: f.default for f in dataclasses.fields(hier.RunConfig)
+                                        if f.default is not dataclasses.MISSING})
 
     e = sub.add_parser("eval", help="score a saved dendrogram")
     e.add_argument("--tree", required=True)
@@ -388,11 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="scaleup timing of the two algorithms")
     b.add_argument("--sizes", default="1x,2x,4x,8x")
     b.add_argument("--repeats", type=int, default=2)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--psi", type=int, default=16)
-    b.add_argument("--tau", type=float, default=0.01)
-    b.add_argument("--subset-size", type=int, default=None)
-    b.add_argument("--restarts", type=int, default=10)
+    b.add_argument("--seed", type=int, default=0, help="seed of the generated data")
     b.add_argument("--out-dir", default=None)
     b.set_defaults(func=cmd_bench)
     return parser

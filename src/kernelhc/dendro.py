@@ -182,26 +182,28 @@ class Dendrogram:
     @classmethod
     def from_json(cls, text: str) -> "Dendrogram":
         obj = json.loads(text)
-        if obj.get("format") != TREE_FORMAT:
+        if not isinstance(obj, dict) or obj.get("format") != TREE_FORMAT:
             raise ValueError("not a dendrogram JSON document")
-        nodes = {}
-        for rec in obj["nodes"]:
-            node = Node(
-                id=rec["id"],
-                cluster_ids=tuple(rec["cluster_ids"]),
-                points=None if rec["points"] is None else np.asarray(rec["points"], dtype=np.int64),
-                alpha=rec.get("alpha"),
-            )
-            if rec["children"] is not None:
-                node.left, node.right = rec["children"]
-            nodes[node.id] = node
-        tree = cls(nodes=nodes, root=obj["root"], split_order=obj["split_order"])
+        if obj.get("version") != TREE_VERSION:
+            raise ValueError(f"unsupported dendrogram version {obj.get('version')!r}")
         try:
+            nodes = {}
+            for rec in obj["nodes"]:
+                node = Node(
+                    id=rec["id"],
+                    cluster_ids=tuple(rec["cluster_ids"]),
+                    points=None if rec["points"] is None else np.asarray(rec["points"], dtype=np.int64),
+                    alpha=rec.get("alpha"),
+                )
+                if rec["children"] is not None:
+                    node.left, node.right = rec["children"]
+                nodes[node.id] = node
+            tree = cls(nodes=nodes, root=obj["root"], split_order=obj["split_order"])
             for node in nodes.values():
                 if not node.is_leaf:
                     nodes[node.left].parent = nodes[node.right].parent = node.id
             tree.validate()
-        except (KeyError, AssertionError) as e:
+        except (KeyError, TypeError, AssertionError) as e:
             raise ValueError(f"malformed dendrogram: {e!r}") from e
         return tree
 

@@ -257,22 +257,19 @@ class IsolationModel:
                 bound = (np.sqrt(dp.min(axis=1) + tol_p) + reach) * grow + floor
                 keep = dp <= bound[:, None] ** 2 + tol_p
                 w = 0 if keep.all() else d + 1  # a whole tile, or the centers gathered into buf
+                xs = rows1[:len(rows)]
+                xs[:, :d] = box
                 for part, idx in _kept_groups(keep):
                     g = width(len(idx), w)
                     for pp, ip in ((part[i:i + g], idx[:, i:i + g]) for i in range(0, len(part), g)):
                         sub = (np.take(table, row_of[pp, ip].ravel(), axis=0, out=buf[:ip.size * w].reshape(-1, w),
                                        mode="clip") if w else table[pp[0] * psi:(pp[-1] + 1) * psi])
-                        calls = -(-len(rows) // max(1, (block - ip.size * w) // len(sub)))  # of <= block values
-                        step = -(-len(rows) // calls)
-                        for lo in range(0, len(rows), step):
-                            xb, hi = box[lo:lo + step], min(lo + step, len(rows))
-                            vals = buf[ip.size * w:][:len(sub) * len(xb)].reshape(len(sub), -1)
-                            rows1[:len(xb), :d] = xb
-                            scores = np.matmul(sub, rows1[:len(xb)].T, out=vals).reshape(len(ip), len(pp), -1)
-                            cells[lo:hi, pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp]).T
+                        vals = buf[ip.size * w:][:len(sub) * len(rows)].reshape(len(sub), -1)
+                        scores = np.matmul(sub, xs.T, out=vals).reshape(len(ip), len(pp), -1)
+                        cells[:len(rows), pp] = _screen_cells(scores, sq_x, tol, ip, r2[pp]).T
                 out[rows] = cells[:len(rows)]
         # buffers made on this thread: a worker's freed ones stay in its malloc arena
-        size = max(block, psi * (d + 2))  # a call of one partitioning at least
+        size = max(block, psi * (SCAN_LEAF + d + 1))  # a call of one partitioning at least
         _run_tasks(scan, [(first, np.empty(len(flat)), np.empty(size), np.ones((SCAN_LEAF, d + 1)),
                            np.empty((SCAN_LEAF, t), np.int32)) for first in range(tasks)])
 
@@ -298,12 +295,15 @@ class IsolationModel:
     @classmethod
     def load(cls, path) -> "IsolationModel":
         with np.load(path, allow_pickle=False) as f:
-            if str(f["format"]) != MODEL_FORMAT:
-                raise ValueError(f"not an isolation model file: {path}")
-            if int(f["version"]) != MODEL_VERSION:
-                raise ValueError(f"unsupported model version {int(f['version'])}")
-            centers, radii, psi, t = f["centers"], f["radii"], int(f["psi"]), int(f["t"])
-            seed = int(f["seed"])
+            try:
+                if str(f["format"]) != MODEL_FORMAT:
+                    raise ValueError(f"not an isolation model file: {path}")
+                if int(f["version"]) != MODEL_VERSION:
+                    raise ValueError(f"unsupported model version {int(f['version'])}")
+                centers, radii, psi, t = f["centers"], f["radii"], int(f["psi"]), int(f["t"])
+                seed = int(f["seed"])
+            except KeyError as e:
+                raise ValueError(f"{path}: malformed model file: {e}") from e
         if psi < 2 or t < 1:
             raise ValueError(f"{path}: needs psi >= 2 and t >= 1, got psi={psi}, t={t}")
         if centers.ndim != 3 or centers.shape[:2] != (t, psi) or radii.shape != (t, psi):

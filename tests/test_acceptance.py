@@ -329,7 +329,8 @@ def test_criterion_9_scaleup():
     start = time.time()
     # each timing is the min of 5 runs: the bisecting k-means runs take
     # 0.05-0.5 s, where the min of 2 left the linear-fit verdict to noise
-    rows = run_scaleup([1, 2, 4, 8], repeats=5, seed=0, psi=16, tau=0.01, s=2000)
+    rows = run_scaleup([1, 2, 4, 8], repeats=5, seed=0,
+                       config=RunConfig(k=6, psi=16, tau=0.01, s=2000))
     ns = [r["n"] for r in rows]
     hkc = [r["hkc_seconds"] for r in rows]
     bkm = [r["bisect_seconds"] for r in rows]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -5,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelhc.cli import build_parser, main
-from kernelhc.datasets import load_csv
+from kernelhc.cli import _run_config, build_parser, main
+from kernelhc.datasets import PAPER_ANALOG_TUNED, load_csv
+from kernelhc.hier import RunConfig
 from kernelhc.ikernel import IsolationModel
 
 SPEC = [
@@ -170,6 +172,23 @@ class TestCluster:
                    "--k", "2", "--out-dir", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_flags_default_to_run_config(self):
+        args = build_parser().parse_args(["cluster", "--in", "f", "--k", "6"])
+        assert _run_config(args) == RunConfig(k=6)
+
+    def test_every_run_config_field_but_tree_method_has_a_flag(self):
+        flags = ["--k", "3", "--psi", "7", "--t", "9", "--tau", "0.2", "--rho", "0.3",
+                 "--subset-size", "11", "--seed", "4", "--clusterer", "kmeans", "--no-refine",
+                 "--kernel", "gdk", "--bandwidth", "2.5", "--eps-sim", "0.4", "--min-pts", "6",
+                 "--restarts", "3"]
+        config = _run_config(build_parser().parse_args(["cluster", "--in", "f", *flags]))
+        default = RunConfig(k=6)
+        changed = {f.name for f in dataclasses.fields(RunConfig)
+                   if getattr(config, f.name) != getattr(default, f.name)}
+        assert changed == {f.name for f in dataclasses.fields(RunConfig)} - {"tree_method"}
+        ahc = build_parser().parse_args(["cluster", "--in", "f", "--k", "6", "--algo", "ahc"])
+        assert _run_config(ahc) == RunConfig(k=6, tree_method="ahc")
+
     def test_invalid_flag_value_exits_2(self, blob_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(cluster_args(blob_csv, tmp_path / "o", "--algo", "wrong"))
@@ -243,30 +262,41 @@ class TestEval:
     def test_malformed_tree_exits_2(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "run"
         main(cluster_args(blob_csv, out))
-        # the root's children name missing nodes; a leaf point is out of range
-        for case in ("children", "points"):
+        # the root's children name missing nodes; a leaf point is out of range;
+        # an unsupported version; a missing key, at the top or in a node; no object
+        def broken(case):
             doc = json.loads((out / "tree.json").read_text())
+            root = next(node for node in doc["nodes"] if node["id"] == doc["root"])
             if case == "children":
-                next(node for node in doc["nodes"] if node["id"] == doc["root"])["children"] = [99, 98]
-            else:
+                root["children"] = [99, 98]
+            elif case == "points":
                 next(node for node in doc["nodes"] if node["points"])["points"][-1] = 10**6
+            elif case == "version":
+                doc["version"] = 9
+            elif case == "root":
+                del doc["root"]
+            elif case == "node":
+                del root["cluster_ids"]
+            return [doc] if case == "list" else doc
+        for case in ("children", "points", "version", "root", "node", "list"):
             bad = tmp_path / f"{case}.json"
-            bad.write_text(json.dumps(doc))
+            bad.write_text(json.dumps(broken(case)))
             capsys.readouterr()
             assert main(["eval", "--tree", str(bad), "--labels", str(blob_csv),
                          "--metrics", "purity"]) == 2, case
             assert capsys.readouterr().err.startswith("error: "), case
 
     def test_invalid_model_exits_2(self, blob_csv, tmp_path, capsys):
-        # a model file whose psi disagrees with its centers, or with NaN radii
+        # a model file whose psi disagrees with its centers, with NaN radii, or without radii
         out = tmp_path / "run"
         main(cluster_args(blob_csv, out))
         model = IsolationModel.load(out / "model.npz")
         for name, fields in (("psi", {"psi": model.psi + 1}),
-                             ("nan", {"radii": np.full_like(model.radii, np.nan)})):
+                             ("nan", {"radii": np.full_like(model.radii, np.nan)}),
+                             ("missing", {"radii": None})):
             bad = tmp_path / f"{name}.npz"
             with np.load(out / "model.npz") as saved:
-                np.savez(bad, **{**saved, **fields})
+                np.savez(bad, **{key: val for key, val in {**saved, **fields}.items() if val is not None})
             capsys.readouterr()
             assert main(["eval", "--tree", str(out / "tree.json"), "--metrics", "tsc",
                          "--in", str(blob_csv), "--model", str(bad)]) == 2, name
@@ -299,15 +329,17 @@ class TestBench:
     def test_tiny_bench_writes_tables(self, tmp_path, capsys):
         out = tmp_path / "bench"
         rc = main(["bench", "--sizes", "0.02x,0.04x", "--repeats", "1",
-                   "--seed", "1", "--subset-size", "50", "--psi", "8",
-                   "--out-dir", str(out)])
+                   "--seed", "1", "--out-dir", str(out)])
         assert rc == 0
         lines = (out / "scaleup.csv").read_text().strip().splitlines()
         assert lines[0] == "factor,n,hkc_seconds,bisect_seconds"
         assert len(lines) == 3
         summary = json.loads((out / "scaleup.json").read_text())
-        assert {"rows", "hkc_prefers_linear", "bisect_prefers_linear"} <= set(summary)
+        assert {"config", "rows", "hkc_prefers_linear", "bisect_prefers_linear"} <= set(summary)
+        assert summary["config"] == dataclasses.asdict(RunConfig(**PAPER_ANALOG_TUNED))
+        assert [r["n"] for r in summary["rows"]] == [60, 120]  # psi 48 fits, s capped at n
         printed = capsys.readouterr().out.splitlines()
+        assert f"config: {RunConfig(**PAPER_ANALOG_TUNED)}" in printed
         for algo in ("hkc", "bisect"):
             assert f"{algo} prefers linear fit: {summary[algo + '_prefers_linear']}" in printed
 
