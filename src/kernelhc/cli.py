@@ -134,7 +134,9 @@ def cmd_cluster(args) -> int:
         warnings.extend(result.warnings)
         timings.update(result.timings)
         model = result.model
-        extra = {"k_effective": result.k, "iterations": result.iterations}
+        extra = {"k_effective": result.k, "iterations": result.iterations,
+                 "zero_ties": [{"node": rec["node"], "zero_ties": rec["zero_ties"]}
+                               for rec in tree.split_records]}
         if result.feats is not None:
             dendro.annotate_alphas(tree, result.feats)
             extra["transform_workers"] = ikernel.WORKERS
@@ -266,27 +268,32 @@ def run_scaleup(factors, repeats, seed, config: hier.RunConfig):
     """Time the kernel pipeline under config, and bisecting k-means with its
     k, restarts and seed, on copies of the analog dataset scaled by each
     factor and generated from seed. The subset size is capped at each copy's
-    n. Returns a list of row dicts (min over repeats)."""
+    n. One untimed run of both at the smallest size goes first, so no timing
+    carries the process's start-up costs; then each repeat times every size
+    in turn, so a slow stretch of the machine touches one repeat of several
+    sizes rather than all repeats of one. Returns a list of row dicts (min
+    over repeats)."""
     bisect = baseline.BisectConfig(k=config.k, restarts=config.restarts, seed=config.seed)
-    rows = []
+    runs = []
     for factor in factors:
         comps = [dataclasses.replace(c, size=max(1, int(round(c.size * factor))))
                  for c in datasets.PAPER_ANALOG_COMPONENTS]
         ds = datasets.generate_mixture(comps, seed, name=f"analog-{factor}x")
-        n = ds.n
-        sized = dataclasses.replace(config, s=min(config.subset_size(n), n))
-        hkc_times, bkm_times = [], []
-        for _ in range(max(1, repeats)):
+        runs.append((ds.points, dataclasses.replace(config, s=min(config.subset_size(ds.n), ds.n))))
+    points, sized = min(runs, key=lambda run: len(run[0]))  # the untimed warm-up
+    hier.run(points, sized)
+    baseline.bisect_kmeans(points, bisect)
+    hkc_times, bkm_times = [[] for _ in runs], [[] for _ in runs]
+    for _ in range(max(1, repeats)):
+        for (points, sized), hkc, bkm in zip(runs, hkc_times, bkm_times):
             t0 = time.perf_counter()
-            hier.run(ds.points, sized)
-            hkc_times.append(time.perf_counter() - t0)
+            hier.run(points, sized)
+            hkc.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            baseline.bisect_kmeans(ds.points, bisect)
-            bkm_times.append(time.perf_counter() - t0)
-        rows.append({"factor": factor, "n": n,
-                     "hkc_seconds": min(hkc_times),
-                     "bisect_seconds": min(bkm_times)})
-    return rows
+            baseline.bisect_kmeans(points, bisect)
+            bkm.append(time.perf_counter() - t0)
+    return [{"factor": factor, "n": len(points), "hkc_seconds": min(hkc), "bisect_seconds": min(bkm)}
+            for factor, (points, _), hkc, bkm in zip(factors, runs, hkc_times, bkm_times)]
 
 
 def cmd_bench(args) -> int:

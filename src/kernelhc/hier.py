@@ -97,7 +97,9 @@ def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
     first anchor. Splitting continues until every leaf holds one cluster.
 
     The returned tree carries a ``split_records`` attribute listing, per
-    split, the anchors and each non-anchor cluster's similarity to both.
+    split, the anchors, each non-anchor cluster's similarity to both, and
+    ``zero_ties``: how many non-anchor clusters have similarity exactly 0.0 to
+    both anchors, and so join the first one by the tie rule alone.
     """
     if cores.k < 2:
         raise ValueError(f"need at least 2 core clusters, got {cores.k}")
@@ -117,7 +119,8 @@ def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
             for c in ids[2:]:
                 (left if sims[c][0] >= sims[c][1] else right).append(c)
             tree.split(leaf.id, left, right)
-            records.append({"node": leaf.id, "anchors": (a1, a2), "sims": sims})
+            records.append({"node": leaf.id, "anchors": (a1, a2), "sims": sims,
+                            "zero_ties": sum(pair == (0.0, 0.0) for pair in sims.values())})
     tree.split_records = records
     return tree
 

@@ -57,8 +57,18 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
 
 # Most float64 scores and gathered weights the screen holds at once, on all threads.
 SCREEN_BLOCK = 1 << 19
-# Most rows per kd-tree leaf of the transform.
-SCAN_LEAF = 128
+# Most rows per kd-tree leaf of the transform. Wall ms per transform of the seed-1
+# perfbench inputs (psi 48, t 200), median of 15 alternating calls in one process,
+# BLAS on one thread (as perfbench pins it), ranges over 2 runs on 2 vCPUs; the
+# last column is the per-leaf center selection this batched one replaced:
+#   leaf               128        256        512     per-leaf, 128
+#   analog-3k   2 w    38-40      38-47      51-51      38-45
+#   analog-24k  2 w    206-215    175-175    182-199    265-269
+#   blobs-64d   2 w    134-139    133-142    137-145    139-146
+#   analog-3k   1 w    46-48      55-59      73-85      50-52
+#   analog-24k  1 w    219-233    221-239    271-283    256-279
+#   blobs-64d   1 w    154-166    155-172    175-193    174-188
+SCAN_LEAF = 256
 # Most cells per row block of IdkOps.fit's Phi build.
 SCAN_BLOCK = 1 << 18
 # Threads for the GEMM screen, its rescans and the Gaussian row means (cdist, BLAS,
@@ -96,17 +106,28 @@ def _leaves(node) -> list:
     return [node.indices] if node.split_dim == -1 else _leaves(node.lesser) + _leaves(node.greater)
 
 
-def _kept_groups(keep: np.ndarray) -> list:
-    """A leaf's partitionings in one or two groups, each with the (k, g) indices
-    of the centers to score: a partitioning's kept centers in ascending order,
-    padded to the group's largest kept count with its later unkept centers. The
-    partitionings go in ascending kept count, cut where the padding is least."""
-    count = keep.sum(axis=1)
-    order = np.argsort(count, kind="stable")
-    size, cut = count[order], np.arange(len(keep), 0, -1)  # one group on ties
-    cut = cut[(cut * size[cut - 1] + (len(keep) - cut) * size[-1]).argmin()]
-    return [(part, np.argsort(~keep[part], axis=1, kind="stable")[:, :count[part].max()].T.astype(np.int32))
-            for part in (np.sort(order[:cut]), np.sort(order[cut:])) if len(part)]
+def _kept_groups(keep: np.ndarray) -> tuple:
+    """Each leaf's partitionings in one or two groups, for the 0/1 masks keep
+    (m, t, psi), int32, of the centers that m leaves score. Returns (parts,
+    cut, counts, keep), each indexed by leaf first. A leaf's partitionings go
+    in ascending kept count (counts, stable), cut after the first cut[l], where
+    the padding to each group's largest count is least; parts[l] lists the
+    first group's partitionings in ascending order, then the second's. keep
+    is overwritten with each partitioning's kept centers in ascending order,
+    then its unkept ones: sorted keys (1 - keep) 2^s + c, less 2^s."""
+    m, t, psi = keep.shape
+    count = keep.sum(axis=2)
+    ranked = np.argsort(count, axis=1, kind="stable")
+    count, cuts = np.take_along_axis(count, ranked, axis=1), np.arange(t, 0, -1)  # one group on ties
+    cut = cuts[(cuts * count[:, cuts - 1] + (t - cuts) * count[:, -1:]).argmin(axis=1)]
+    rank = np.empty_like(ranked)
+    np.put_along_axis(rank, ranked, np.arange(t)[None], axis=1)
+    s = psi.bit_length()
+    np.left_shift(np.bitwise_xor(keep, 1, out=keep), s, out=keep)
+    keep |= np.arange(psi, dtype=np.int32)
+    keep.sort(axis=2)
+    keep &= (1 << s) - 1
+    return np.argsort(rank >= cut[:, None], axis=1, kind="stable"), cut, count, keep
 
 
 # Why a leaf keeps every center cdist can pick for one of its rows. Write |a - b|
@@ -114,8 +135,12 @@ def _kept_groups(keep: np.ndarray) -> list:
 # distance from the screen's argument below, plus u for the root, to first
 # order |cdist(a, b) - |a - b|| <= e |a - b| + z for e = (d + 4) u / 2 and
 # z = sqrt(d _ETA / 2); and cdist(a, b) = cdist(b, a), as x - c = -(c - x).
-# Let p be the midpoint of a leaf's box, R the largest cdist(p, x) over its
-# rows x, c* any center of a partitioning and m = cdist(p, c*). If cdist picks
+# That argument holds for any order of the d - 1 sums, with or without FMA, so
+# the bound holds too for the root of an einsum of squared differences, which
+# is how the transform computes R: no inflation is needed. Let p be the
+# midpoint of a leaf's box, R the largest such distance from p to its rows x
+# (the root of the largest square, as sqrt is monotone), c* any center of a
+# partitioning and m = cdist(p, c*). If cdist picks
 # c for x, cdist(x, c) <= cdist(x, c*) and, up to those errors, |p - c| <=
 # |p - x| + |x - c| <= 2R + m: cdist(p, c) <= (1 + 4e)(m + 2R) + 6z. So c is
 # kept, and a center not kept is farther than c* from every row: the padding
@@ -212,7 +237,12 @@ class IsolationModel:
         The cells are the full ``cdist`` scan's, bit for bit (comments above
         _screen_cells). Leaves and rescans run on up to WORKERS threads, in
         tasks that write only their own cells; a cell depends on its row alone,
-        so none of WORKERS, SCAN_LEAF, SCREEN_BLOCK changes it.
+        so none of WORKERS, SCAN_LEAF, SCREEN_BLOCK changes it. A task selects
+        the centers for a batch of its leaves at once, in whole-batch array
+        passes (one GEMM for every leaf's midpoint, one sort of every kept
+        mask), so that only the scoring GEMMs, _screen_cells and the cell
+        writes cost NumPy calls per leaf: such calls hold the GIL, and on 2-d
+        data, where a leaf's scoring is cheap, they kept a second worker idle.
         """
         X = _check_matrix(X, "X")
         n, d = X.shape
@@ -220,13 +250,15 @@ class IsolationModel:
             raise ValueError(f"expected {self.centers.shape[2]} features, got {d}")
         t, psi = self.t, self.psi
         out = np.empty((n, t), dtype=np.int32)
+        if not n:
+            return out
         # kd-tree leaves, cut where more than SCAN_LEAF rows coincide
-        leaves = [r[i:i + SCAN_LEAF] for r in (_leaves(cKDTree(X, leafsize=SCAN_LEAF).tree) if n else [])
+        leaves = [r[i:i + SCAN_LEAF] for r in _leaves(cKDTree(X, leafsize=SCAN_LEAF).tree)
                   for i in range(0, len(r), SCAN_LEAF)]
         flat = self.centers.reshape(-1, d)
         grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
         tasks = min(WORKERS, len(leaves))
-        block = SCREEN_BLOCK // max(tasks, 1)
+        block = SCREEN_BLOCK // tasks
 
         # partitionings per call of k centers each, w floats of gathered weights per
         # center: the screen scores a leaf's rows at once, reading each weight once
@@ -244,34 +276,58 @@ class IsolationModel:
         table[row_of.ravel(), d] = np.einsum("ij,ij->i", flat, flat)
         max_sq_c, r2 = table[:, d].max(), self.radii * self.radii
 
-        def scan(task):  # the leaves first, first + tasks, ...
-            first, near, buf, rows1, cells = task
-            for rows in leaves[first::tasks]:
-                box = X[rows]
-                p = (box.min(axis=0) + box.max(axis=0))[None] / 2
-                reach = 2 * cdist(p, box).max()
-                # p's screened squared distances stand in for cdist(p, c)
-                sq_x, sq_p = np.einsum("ij,ij->i", box, box), (p @ p.T)[0, 0]
+        # leaves per batch: a batch's rows with their differences from p, and later its
+        # p-to-center squares with their GEMM output, each fit in the task's block
+        batch = max(1, block // (2 * (t * psi + SCAN_LEAF * d)))
+
+        def scan(task):  # the leaves first, first + tasks, ..., a batch at a time
+            first, buf, rows1, keep, cells = task
+            mine = leaves[first::tasks]
+            for group in (mine[i:i + batch] for i in range(0, len(mine), batch)):
+                m, start = len(group), np.cumsum([0] + [len(rows) for rows in group])
+                nb = start[-1]
+                # per leaf the midpoint p of its box, as [p, 1], and its reach 2R, R the
+                # largest distance from p to a row (comments above _screen_cells)
+                box = np.take(X, np.concatenate(group), axis=0, out=buf[:nb * d].reshape(nb, d))
+                ps = np.ones((m, d + 1))
+                np.add(np.minimum.reduceat(box, start[:-1]), np.maximum.reduceat(box, start[:-1]), out=ps[:, :d])
+                ps[:, :d] /= 2
+                diff = np.take(ps[:, :d], np.repeat(np.arange(m), np.diff(start)), axis=0,
+                               out=buf[nb * d:2 * nb * d].reshape(nb, d))
+                np.subtract(box, diff, out=diff)
+                reach = 2 * np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->i", diff, diff), start[:-1]))
+                sq_x, sq_p = np.einsum("ij,ij->i", box, box), np.einsum("ij,ij->i", ps[:, :d], ps[:, :d])
                 tol, tol_p = (4 * (d + 2) * (_EPS * (sq + 3 * max_sq_c) + _ETA) for sq in (sq_x, sq_p))
-                dp = np.matmul(table, np.append(p, 1.0), out=near)[row_of] + sq_p
-                bound = (np.sqrt(dp.min(axis=1) + tol_p) + reach) * grow + floor
-                keep = dp <= bound[:, None] ** 2 + tol_p
-                w = 0 if keep.all() else d + 1  # a whole tile, or the centers gathered into buf
-                xs = rows1[:len(rows)]
-                xs[:, :d] = box
-                for part, idx in _kept_groups(keep):
-                    g = width(len(idx), w)
-                    for pp, ip in ((part[i:i + g], idx[:, i:i + g]) for i in range(0, len(part), g)):
-                        sub = (np.take(table, row_of[pp, ip].ravel(), axis=0, out=buf[:ip.size * w].reshape(-1, w),
-                                       mode="clip") if w else table[pp[0] * psi:(pp[-1] + 1) * psi])
-                        vals = buf[ip.size * w:][:len(sub) * len(rows)].reshape(len(sub), -1)
-                        scores = np.matmul(sub, xs.T, out=vals).reshape(len(ip), len(pp), -1)
-                        cells[:len(rows), pp] = _screen_cells(scores, sq_x, tol, ip, r2[pp]).T
-                out[rows] = cells[:len(rows)]
-        # buffers made on this thread: a worker's freed ones stay in its malloc arena
-        size = max(block, psi * (SCAN_LEAF + d + 1))  # a call of one partitioning at least
-        _run_tasks(scan, [(first, np.empty(len(flat)), np.empty(size), np.ones((SCAN_LEAF, d + 1)),
-                           np.empty((SCAN_LEAF, t), np.int32)) for first in range(tasks)])
+                # p's screened squared distances stand in for cdist(p, c)
+                near = np.matmul(ps, table.T, out=buf[:m * t * psi].reshape(m, -1))
+                dp = np.take(near, row_of, axis=1, out=buf[m * t * psi:2 * m * t * psi].reshape(m, t, psi))
+                dp += sq_p[:, None, None]
+                bound = (np.sqrt(dp.min(axis=2) + tol_p[:, None]) + reach[:, None]) * grow + floor
+                bound *= bound
+                bound += tol_p[:, None]
+                parts, cut, counts, order = _kept_groups(np.less_equal(dp, bound[:, :, None], out=keep[:m]))
+                for rows, lo, hi, part, c, count, idx in zip(group, start, start[1:], parts, cut.tolist(),
+                                                            counts.tolist(), order):
+                    w = 0 if count[0] == psi else d + 1  # a whole tile, or the centers gathered into buf
+                    xs = rows1[:len(rows)]
+                    xs[:, :d] = X[rows]
+                    for a, z, k in ((0, c, count[c - 1]), (c, t, count[-1])):
+                        g = width(k, w)
+                        for pp in (part[i:min(i + g, z)] for i in range(a, z, g)):
+                            ip = idx[pp, :k].T
+                            sub = (np.take(table, row_of[pp, ip].ravel(), axis=0,
+                                           out=buf[:ip.size * w].reshape(-1, w), mode="clip")
+                                   if w else table[pp[0] * psi:(pp[-1] + 1) * psi])
+                            vals = buf[ip.size * w:][:len(sub) * len(rows)].reshape(len(sub), -1)
+                            scores = np.matmul(sub, xs.T, out=vals).reshape(k, len(pp), -1)
+                            cells[:len(rows), pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp]).T
+                    out[rows] = cells[:len(rows)]
+        # buffers made on this thread: a worker's freed ones stay in its malloc arena; a
+        # call of one partitioning, and a batch of one leaf, fit at least
+        size = max(block, psi * (SCAN_LEAF + d + 1), 2 * (t * psi + SCAN_LEAF * d))
+        _run_tasks(scan, [(first, np.empty(size), np.ones((SCAN_LEAF, d + 1)),
+                           np.empty((batch, t, psi), np.int32), np.empty((SCAN_LEAF, t), np.int32))
+                          for first in range(tasks)])
 
         def rescan(i):  # the pairs the screen marked -2
             rows = np.flatnonzero(out[:, i] == -2)

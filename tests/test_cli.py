@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kernelhc import cli
 from kernelhc.cli import _run_config, build_parser, main
 from kernelhc.datasets import PAPER_ANALOG_TUNED, load_csv
 from kernelhc.hier import RunConfig
@@ -80,6 +81,9 @@ class TestCluster:
         assert manifest["input"]["sha256"]
         assert set(manifest["timings"]) >= {"fit", "cores", "tree", "assign",
                                             "refine", "total"}
+        tree = json.loads((out / "tree.json").read_text())
+        assert [split["node"] for split in manifest["zero_ties"]] == [tree["root"]]
+        assert manifest["zero_ties"][0]["zero_ties"] == 0  # two clusters, no third to tie
 
     def test_kpskc_growth_in_manifest_only_for_kpskc(self, blob_csv, tmp_path):
         out = tmp_path / "kpskc"
@@ -346,6 +350,20 @@ class TestBench:
     def test_empty_sizes_exits_2(self, tmp_path):
         rc = main(["bench", "--sizes", ",", "--out-dir", str(tmp_path / "b")])
         assert rc == 2
+
+    def test_scaleup_warms_up_then_times_sizes_round_robin(self, monkeypatch):
+        # one untimed run of each algorithm at the smallest size, then each
+        # repeat runs every size in turn; a row keeps its size's fastest time
+        calls, clock = [], iter(range(1000))
+        monkeypatch.setattr(cli.hier, "run", lambda points, config: calls.append(("hkc", len(points))))
+        monkeypatch.setattr(cli.baseline, "bisect_kmeans", lambda points, config: calls.append(("bkm", len(points))))
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: next(clock) ** 2)
+        rows = cli.run_scaleup([0.04, 0.02], repeats=2, seed=0, config=RunConfig(k=6, psi=4))
+        sizes = [("hkc", 120), ("bkm", 120), ("hkc", 60), ("bkm", 60)]
+        assert calls == [("hkc", 60), ("bkm", 60)] + sizes + sizes
+        assert [r["n"] for r in rows] == [120, 60]
+        # the clock's steps grow, so each size's first repeat is its fastest
+        assert [(r["hkc_seconds"], r["bisect_seconds"]) for r in rows] == [(1, 5), (9, 13)]
 
 
 def readme_commands():

@@ -83,6 +83,24 @@ class TestBuildTree:
         s1, s2 = rec["sims"][2]
         assert s1 >= s2
 
+    def test_split_records_count_zero_ties(self):
+        # four blobs far apart share no cell: at the root split the two
+        # smaller clusters have similarity 0.0 to both anchors and join the
+        # first anchor by the tie rule; each later split holds one such tie
+        rng = np.random.default_rng(31)
+        sizes = [40, 30, 20, 10]
+        X = np.vstack([rng.normal([i * 40, 0], 0.5, (size, 2)) for i, size in enumerate(sizes)])
+        _, ops = fitted_ops(X, psi=32, t=50)
+        bounds = np.cumsum([0] + sizes)
+        cores = cores_from_lists([range(a, b) for a, b in zip(bounds, bounds[1:])], len(X))
+        tree = build_tree(cores, ops)
+        root = tree.split_records[0]
+        assert root["anchors"] == (0, 1) and root["sims"] == {2: (0.0, 0.0), 3: (0.0, 0.0)}
+        assert root["zero_ties"] == 2
+        assert [rec["zero_ties"] for rec in tree.split_records] == [2, 1, 0]
+        first = tree.nodes[tree.split_order[0]]
+        assert tree.nodes[first.left].cluster_ids == (0, 2, 3)
+
     @pytest.mark.parametrize("builder", [build_tree, ahc_build])
     def test_reads_one_gram(self, builder, monkeypatch):
         rng = np.random.default_rng(22)

@@ -486,8 +486,10 @@ class TestPrunedScreen:
     most of them."""
 
     def test_separated_blobs_score_a_fraction_of_the_centers(self, monkeypatch):
-        # 8 unit Gaussians, centers uniform in [-10, 10]^64: a leaf keeps about
-        # the centers of its own blob, and its partitionings go in two groups
+        # 8 unit Gaussians, centers uniform in [-10, 10]^64, in leaves smaller than
+        # a blob: a leaf keeps about the centers of its own blob, and its
+        # partitionings go in two groups
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 128)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(1200, 64)) + rng.uniform(-10, 10, size=(8, 64))[rng.integers(0, 8, size=1200)]
         model = fit_isolation_model(X, psi=16, t=30, seed=4)
@@ -498,9 +500,117 @@ class TestPrunedScreen:
         monkeypatch.setattr(ikernel, "_kept_groups", lambda keep: groups.append(kept(keep)) or groups[-1])
         assert np.array_equal(model.transform(X), full_scan(model, X))
         assert sum(scored) < 0.75 * len(X) * model.t * model.psi
-        assert any(len(g) == 2 for g in groups)
-        for g in groups:  # every partitioning once, its kept centers first
-            assert sorted(np.concatenate([part for part, _ in g])) == list(range(model.t))
+        assert any(((0 < cut) & (cut < model.t)).any() for _, cut, _, _ in groups)
+        for parts, cut, _, _ in groups:  # every partitioning once, each group in ascending order
+            for part, c in zip(parts, cut):
+                assert sorted(part) == list(range(model.t))
+                assert (np.diff(part[:c]) > 0).all() and (np.diff(part[c:]) > 0).all()
+
+
+def kept_groups_reference(keep):
+    """One leaf's groups as a per-leaf selection makes them, for its (t, psi)
+    mask: per group its partitionings in ascending order and the (k, g)
+    centers to score, each partitioning's kept ones first."""
+    count = keep.sum(axis=1)
+    order = np.argsort(count, kind="stable")
+    size, cut = count[order], np.arange(len(keep), 0, -1)
+    cut = cut[(cut * size[cut - 1] + (len(keep) - cut) * size[-1]).argmin()]
+    return [(part, np.argsort(~keep[part], axis=1, kind="stable")[:, :count[part].max()].T)
+            for part in (np.sort(order[:cut]), np.sort(order[cut:])) if len(part)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 5), t=st.integers(1, 12), psi=st.integers(2, 20), seed=st.integers(0, 2**32 - 1),
+       density=st.floats(0, 1))
+def test_kept_groups_equal_the_per_leaf_reference(m, t, psi, seed, density):
+    keep = np.random.default_rng(seed).random((m, t, psi)) < density
+    keep[..., 0] |= ~keep.any(axis=2)  # a leaf keeps p's nearest center at least
+    parts, cut, counts, order = ikernel._kept_groups(keep.astype(np.int32))
+    for leaf in range(m):
+        c, count = cut[leaf], counts[leaf]
+        groups = [(part, order[leaf][part, :k].T)
+                  for part, k in ((parts[leaf, :c], count[c - 1]), (parts[leaf, c:], count[-1])) if len(part)]
+        expected = kept_groups_reference(keep[leaf])
+        assert len(groups) == len(expected)
+        for (part, idx), (ref_part, ref_idx) in zip(groups, expected):
+            assert np.array_equal(part, ref_part) and np.array_equal(idx, ref_idx)
+
+
+def batch_inputs(d):
+    """240 points in 6 blobs far apart, of spreads from 0.01 to 3, so that
+    neighbouring leaves differ in their midpoints and reaches, and a model
+    fitted on them."""
+    rng = np.random.default_rng(d)
+    which = rng.integers(0, 6, size=240)
+    spread = np.array([0.01, 0.1, 0.3, 1.0, 2.0, 3.0])[which, None]
+    X = rng.uniform(-50, 50, size=(6, d))[which] + rng.normal(size=(240, d)) * spread
+    return fit_isolation_model(X, psi=12, t=9, seed=d), X
+
+
+def batch_block(model, leaf, leaves, tasks=1):
+    """The SCREEN_BLOCK at which each of transform's tasks selects centers
+    for batches of the given number of leaves of at most leaf rows."""
+    return tasks * leaves * 2 * (model.t * model.psi + leaf * model.centers.shape[2])
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """The number of leaves of every batch transform selects centers for."""
+    sizes, kept = [], ikernel._kept_groups
+    monkeypatch.setattr(ikernel, "_kept_groups", lambda keep: sizes.append(len(keep)) or kept(keep))
+    return sizes
+
+
+class TestBatches:
+    """transform selects the centers of a batch of leaves at once; whatever
+    the batches hold, the cells are the full scan's."""
+
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_spans_several_batches(self, monkeypatch, batches, d, workers):
+        model, X = batch_inputs(d)
+        monkeypatch.setattr(ikernel, "WORKERS", workers)
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 8)
+        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", batch_block(model, 8, 3, workers))
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert max(batches) == 3 and batches.count(3) >= 3 * workers and sum(batches) >= len(X) // 8
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_batch_of_one_leaf(self, monkeypatch, batches, d):
+        model, X = batch_inputs(d)
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 8)
+        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", batch_block(model, 8, 1, ikernel.WORKERS))
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert set(batches) == {1} and len(batches) >= len(X) // 8
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_leaves_of_one_row(self, monkeypatch, batches, d):
+        model, X = batch_inputs(d)
+        X = np.vstack([X, X[:5]])  # coinciding rows, cut into leaves of one row
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 1)
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert sum(batches) == len(X) and max(batches) > 1
+
+    @pytest.mark.parametrize("d", [2, 16])
+    def test_more_workers_than_leaves(self, monkeypatch, pool_spy, batches, d):
+        model, X = batch_inputs(d)
+        monkeypatch.setattr(ikernel, "WORKERS", 8)
+        monkeypatch.setattr(ikernel, "SCAN_LEAF", 100)  # 3 to 4 leaves of 240 rows
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert set(batches) == {1} and pool_spy[0] == len(batches) < 8
+
+    @pytest.mark.parametrize("d", [2, 16])
+    @pytest.mark.parametrize("leaves", [None, 2])
+    def test_default_scan_leaf(self, monkeypatch, batches, d, leaves):
+        # the default leaf size on 4,800 points, in the default batches or in
+        # batches of 2 leaves
+        model, X = batch_inputs(d)
+        X = np.vstack([X + shift for shift in np.linspace(0, 1, 20)])
+        if leaves:
+            monkeypatch.setattr(ikernel, "SCREEN_BLOCK",
+                                batch_block(model, ikernel.SCAN_LEAF, leaves, ikernel.WORKERS))
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert sum(batches) >= len(X) // ikernel.SCAN_LEAF and max(batches) == (leaves or max(batches))
 
 
 def worker_inputs(d, t=15):
