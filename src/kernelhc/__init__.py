@@ -1,7 +1,7 @@
 """Divisive hierarchical clustering driven by distributional kernels."""
 
 from . import baseline, corecluster, datasets, dendro, graphs, hier, ikernel, metrics
-from .baseline import BisectConfig, bisect_kmeans
+from .baseline import bisect_kmeans
 from .corecluster import CoreClusterSet, ik_dbscan_cores, kmeans_cores, kpskc, select_subset
 from .datasets import LabeledDataset, generate_mixture, load_csv, paper_analog, save_csv
 from .dendro import (

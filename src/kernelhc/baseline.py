@@ -9,25 +9,11 @@ sets and leaves get sequential pseudo cluster IDs at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corecluster import _lloyd
 from .dendro import Dendrogram, Node
-
-
-@dataclass
-class BisectConfig:
-    k: int
-    restarts: int = 10
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+from .hier import RunConfig
 
 
 def leaf_sse(X: np.ndarray) -> float:
@@ -65,15 +51,19 @@ def best_two_means(X: np.ndarray, restarts: int, rng):
     return best[0], best[1], sses
 
 
-def bisect_kmeans(data: np.ndarray, config: BisectConfig) -> Dendrogram:
-    """Build a k-leaf dendrogram by repeated 2-means splits.
+def bisect_kmeans(data: np.ndarray, config: RunConfig) -> Dendrogram:
+    """Build a k-leaf dendrogram by repeated 2-means splits; of the config,
+    only k, restarts and seed apply.
 
     The next leaf to split is the one with the largest SSE (ties to the
     smaller node ID); unsplittable leaves are skipped. Stops early with a
     warning on the returned tree when nothing splittable remains. The
     result is already finalized: leaves carry their point sets.
     """
-    config.validate()
+    if config.k < 2:
+        raise ValueError(f"k must be >= 2, got {config.k}")
+    if config.restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {config.restarts}")
     X = np.asarray(data, dtype=np.float64)
     n = X.shape[0]
     if n < config.k:

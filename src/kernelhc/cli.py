@@ -118,16 +118,15 @@ def cmd_cluster(args) -> int:
     metric_values = {}
     outputs = {}
 
+    config = _run_config(args)
     t0 = time.perf_counter()
     if args.algo == "bisect-kmeans":
-        config = baseline.BisectConfig(k=args.k, restarts=args.restarts, seed=args.seed)
         tree = baseline.bisect_kmeans(ds.points, config)
-        warnings.extend(getattr(tree, "warnings", []))
+        warnings.extend(tree.warnings)
         assignments = dendro.leaf_labels(tree)
         model = None
         extra = {"k_effective": tree.k, "iterations": 0}
     else:
-        config = _run_config(args)
         result = hier.run(ds.points, config)
         tree = result.tree
         assignments = result.assignments
@@ -137,10 +136,10 @@ def cmd_cluster(args) -> int:
         extra = {"k_effective": result.k, "iterations": result.iterations,
                  "zero_ties": [{"node": rec["node"], "zero_ties": rec["zero_ties"]}
                                for rec in tree.split_records]}
-        if result.feats is not None:
-            dendro.annotate_alphas(tree, result.feats)
+        dendro.annotate_alphas(tree, result.ops)
+        if isinstance(result.ops, IdkOps):
             extra["transform_workers"] = ikernel.WORKERS
-            extra["kernel_coverage"] = result.feats.onehot.nnz / (result.feats.n * result.feats.t)
+            extra["kernel_coverage"] = result.ops.onehot.nnz / (result.ops.n * result.ops.t)
         if config.clusterer == "kpskc":
             meta = result.cores.meta
             extra["kpskc"] = {"growth_steps": [len(g) for g in meta["gamma_traces"]],
@@ -258,7 +257,10 @@ def _parse_sizes(text: str):
         part = part.strip().lower()
         if not part:
             continue
-        factors.append(float(part[:-1]) if part.endswith("x") else float(part))
+        factor = float(part.removesuffix("x"))
+        if not factor > 0:
+            raise ValueError(f"--sizes factors must be > 0, got {part!r}")
+        factors.append(factor)
     if not factors:
         raise ValueError("--sizes must list at least one size factor")
     return factors
@@ -273,7 +275,6 @@ def run_scaleup(factors, repeats, seed, config: hier.RunConfig):
     in turn, so a slow stretch of the machine touches one repeat of several
     sizes rather than all repeats of one. Returns a list of row dicts (min
     over repeats)."""
-    bisect = baseline.BisectConfig(k=config.k, restarts=config.restarts, seed=config.seed)
     runs = []
     for factor in factors:
         comps = [dataclasses.replace(c, size=max(1, int(round(c.size * factor))))
@@ -282,15 +283,15 @@ def run_scaleup(factors, repeats, seed, config: hier.RunConfig):
         runs.append((ds.points, dataclasses.replace(config, s=min(config.subset_size(ds.n), ds.n))))
     points, sized = min(runs, key=lambda run: len(run[0]))  # the untimed warm-up
     hier.run(points, sized)
-    baseline.bisect_kmeans(points, bisect)
+    baseline.bisect_kmeans(points, sized)
     hkc_times, bkm_times = [[] for _ in runs], [[] for _ in runs]
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         for (points, sized), hkc, bkm in zip(runs, hkc_times, bkm_times):
             t0 = time.perf_counter()
             hier.run(points, sized)
             hkc.append(time.perf_counter() - t0)
             t0 = time.perf_counter()
-            baseline.bisect_kmeans(points, bisect)
+            baseline.bisect_kmeans(points, sized)
             bkm.append(time.perf_counter() - t0)
     return [{"factor": factor, "n": len(points), "hkc_seconds": min(hkc), "bisect_seconds": min(bkm)}
             for factor, (points, _), hkc, bkm in zip(factors, runs, hkc_times, bkm_times)]
@@ -298,6 +299,8 @@ def run_scaleup(factors, repeats, seed, config: hier.RunConfig):
 
 def cmd_bench(args) -> int:
     factors = _parse_sizes(args.sizes)
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be >= 1, got {args.repeats}")
     out = _out_dir(args)
     config = hier.RunConfig(**datasets.PAPER_ANALOG_TUNED)
     print(f"config: {config}")

@@ -5,6 +5,7 @@ assertions hold (run with ``pytest tests/test_acceptance.py -v -s`` to see
 them). Criteria and tolerances are pinned here, not calibrated elsewhere.
 """
 
+import dataclasses
 import math
 import time
 
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from kernelhc import (
-    BisectConfig,
     IdkOps,
     RunConfig,
     ari,
@@ -57,37 +57,58 @@ def analog_run(analog):
     return run(analog.points, RunConfig(**PAPER_ANALOG_TUNED))
 
 
+SMALL_LAYOUTS = [
+    lambda s: [Gaussian(center=(0, 0), std=0.3, size=60 + s),
+               Gaussian(center=(8, 0), std=0.5, size=70),
+               Gaussian(center=(0, 8), std=0.4, size=50)],
+    lambda s: [Gaussian(center=(0, 0), std=0.4, size=80),
+               UniformBox(low=(6, -1), high=(9, 2), size=70 + s),
+               Gaussian(center=(3, 9), std=0.6, size=60),
+               Gaussian(center=(9, 8), std=0.3, size=50)],
+    lambda s: [LShape(origin=(0, 0), vertical=5, horizontal=5,
+                      thickness=0.8, size=90),
+               Gaussian(center=(7, 5), std=0.5, size=70 + s)],
+    lambda s: [Gaussian(center=(0, 0), std=1.0, size=100),
+               Gaussian(center=(7, 7), std=0.5, size=60 + s)],
+]
+
+
+def _small_case(counter):
+    """The small mixture numbered counter and the run config for it."""
+    comps = SMALL_LAYOUTS[counter % len(SMALL_LAYOUTS)](counter)
+    ds = generate_mixture(comps, seed=300 + counter)
+    cfg = RunConfig(k=len(comps), psi=4 + 2 * (counter % 3), t=50,
+                    tau=0.01, rho=0.1, s=min(ds.n, 150),
+                    seed=400 + counter)
+    return ds, cfg
+
+
 @pytest.fixture(scope="module")
 def small_runs():
     """A batch of >= 20 finalized pipeline runs on varied small mixtures."""
-    layouts = [
-        lambda s: [Gaussian(center=(0, 0), std=0.3, size=60 + s),
-                   Gaussian(center=(8, 0), std=0.5, size=70),
-                   Gaussian(center=(0, 8), std=0.4, size=50)],
-        lambda s: [Gaussian(center=(0, 0), std=0.4, size=80),
-                   UniformBox(low=(6, -1), high=(9, 2), size=70 + s),
-                   Gaussian(center=(3, 9), std=0.6, size=60),
-                   Gaussian(center=(9, 8), std=0.3, size=50)],
-        lambda s: [LShape(origin=(0, 0), vertical=5, horizontal=5,
-                          thickness=0.8, size=90),
-                   Gaussian(center=(7, 5), std=0.5, size=70 + s)],
-        lambda s: [Gaussian(center=(0, 0), std=1.0, size=100),
-                   Gaussian(center=(7, 7), std=0.5, size=60 + s)],
-    ]
     runs = []
     counter = 0
     while len(runs) < 20:
-        layout = layouts[counter % len(layouts)]
-        comps = layout(counter)
-        ds = generate_mixture(comps, seed=300 + counter)
-        cfg = RunConfig(k=len(comps), psi=4 + 2 * (counter % 3), t=50,
-                        tau=0.01, rho=0.1, s=min(ds.n, 150),
-                        seed=400 + counter)
+        ds, cfg = _small_case(counter)
         res = run(ds.points, cfg)
         if res.k >= 2:
             runs.append((ds, res))
         counter += 1
         assert counter < 60, "could not assemble 20 multi-leaf runs"
+    return runs
+
+
+@pytest.fixture(scope="module")
+def small_gdk_runs():
+    """Gaussian-kernel runs on the first eight small mixtures. The bandwidth
+    is fixed: the median heuristic's is wide enough here that every run
+    finds a single core cluster."""
+    runs = []
+    for counter in range(8):
+        ds, cfg = _small_case(counter)
+        res = run(ds.points, dataclasses.replace(cfg, kernel="gdk", bandwidth=0.5))
+        assert res.k >= 2, f"small mixture {counter} gave {res.k} leaves"
+        runs.append((ds, res))
     return runs
 
 
@@ -168,7 +189,7 @@ def test_criterion_2_analog_purity(analog, analog_run):
             if best[0] >= PURITY_BAR:
                 break
     tree_b = bisect_kmeans(analog.points,
-                           BisectConfig(k=6, restarts=10, seed=1))
+                           RunConfig(k=6, restarts=10, seed=1))
     purity_b = dendrogram_purity(tree_b, analog.labels)
     elapsed = time.time() - start
     assert best[0] >= PURITY_BAR, f"swept purity peaked at {best}"
@@ -202,28 +223,26 @@ def test_criterion_3_ablation_ordering(analog, analog_run):
 # Criteria 4 and 5: contraction bound and windowed-objective corollary
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_contraction_bound(small_runs, analog, analog_run):
+def test_criterion_4_contraction_bound(small_runs, small_gdk_runs, analog_run):
     checked = 0
     slack = math.inf
-    cases = [(ds.points, res) for ds, res in small_runs]
-    cases.append((analog.points, analog_run))
-    for points, res in cases:
-        ops = res.feats
-        for step in contraction_trace(res.tree, ops):
+    cases = [res for _, res in small_runs + small_gdk_runs] + [analog_run]
+    for res in cases:
+        for step in contraction_trace(res.tree, res.ops):
             margin = step.tsc_local_after - (step.tsc_local_before - step.alpha)
             slack = min(slack, margin)
             assert margin >= -1e-9
             checked += 1
-    assert len(cases) >= 20
+    assert len(cases) >= 28
     print(f"\n[PASS] criterion 4: contraction bound on {checked} contractions "
-          f"over {len(cases)} runs, min slack {slack:.3e} >= -1e-9")
+          f"over {len(cases)} runs (both kernels), min slack {slack:.3e} >= -1e-9")
 
 
-def test_criterion_5_windowed_objective_bound(small_runs, analog, analog_run):
+def test_criterion_5_windowed_objective_bound(small_runs, small_gdk_runs, analog, analog_run):
     checked = 0
-    cases = [res for _, res in small_runs] + [analog_run]
+    cases = [res for _, res in small_runs + small_gdk_runs] + [analog_run]
     for res in cases:
-        ops = res.feats
+        ops = res.ops
         steps = contraction_trace(res.tree, ops)
         if not steps:
             continue

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from kernelhc import (
-    BisectConfig,
     RunConfig,
     bisect_kmeans,
     dendrogram_purity,
@@ -72,7 +71,7 @@ class TestLinkageThreshold:
 
 class TestBisectNarrative:
     def test_elongated_cluster_divided_before_it_is_alone(self, analog):
-        tree = bisect_kmeans(analog.points, BisectConfig(k=6, restarts=10, seed=1))
+        tree = bisect_kmeans(analog.points, RunConfig(k=6, restarts=10, seed=1))
         lshape = set(np.nonzero(analog.labels == 0)[0].tolist())
         holding = [leaf for leaf in tree.leaves()
                    if lshape & set(leaf.points.tolist())]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelhc import BisectConfig, bisect_kmeans
+from kernelhc import RunConfig, bisect_kmeans
 from kernelhc.baseline import best_two_means, leaf_sse
 from kernelhc.dendro import leaf_labels
 
@@ -26,7 +26,7 @@ def exhaustive_best_bipartition(X):
 class TestBisectKmeans:
     def test_two_blobs_match_exhaustive_split(self):
         X, _ = two_blobs(seed=50, n_per=6)
-        tree = bisect_kmeans(X, BisectConfig(k=2, restarts=8, seed=1))
+        tree = bisect_kmeans(X, RunConfig(k=2, restarts=8, seed=1))
         best, _ = exhaustive_best_bipartition(X)
         flat = leaf_labels(tree)
         sel = flat == flat[0]
@@ -35,14 +35,14 @@ class TestBisectKmeans:
     def test_k_equals_n_every_point_a_leaf(self):
         rng = np.random.default_rng(51)
         X = rng.uniform(0, 1, (7, 2))
-        tree = bisect_kmeans(X, BisectConfig(k=7, restarts=3, seed=2))
+        tree = bisect_kmeans(X, RunConfig(k=7, restarts=3, seed=2))
         assert tree.k == 7
         assert sorted(len(leaf.points) for leaf in tree.leaves()) == [1] * 7
 
     def test_every_split_nonempty_strict_partition(self):
         rng = np.random.default_rng(52)
         X = rng.normal(0, 1, (40, 3))
-        tree = bisect_kmeans(X, BisectConfig(k=6, restarts=4, seed=3))
+        tree = bisect_kmeans(X, RunConfig(k=6, restarts=4, seed=3))
         tree.validate()
         for node in tree.nodes.values():
             if node.is_leaf:
@@ -62,7 +62,7 @@ class TestBisectKmeans:
 
     def test_duplicates_stop_early_with_warning(self):
         X = np.zeros((5, 2))  # nothing splittable
-        tree = bisect_kmeans(X, BisectConfig(k=3, restarts=2, seed=5))
+        tree = bisect_kmeans(X, RunConfig(k=3, restarts=2, seed=5))
         assert tree.k == 1
         assert tree.warnings
 
@@ -71,7 +71,7 @@ class TestBisectKmeans:
         wide = rng.normal([0, 0], 4.0, (30, 2))
         tight = rng.normal([60, 0], 0.05, (30, 2))
         X = np.vstack([wide, tight])
-        tree = bisect_kmeans(X, BisectConfig(k=3, restarts=6, seed=6))
+        tree = bisect_kmeans(X, RunConfig(k=3, restarts=6, seed=6))
         # first split separates the blobs; the second must re-split the wide one
         second = tree.split_order[1]
         pts = _points_of(tree, second)
@@ -79,17 +79,17 @@ class TestBisectKmeans:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            bisect_kmeans(np.zeros((5, 2)), BisectConfig(k=1))
+            bisect_kmeans(np.zeros((5, 2)), RunConfig(k=1))
         with pytest.raises(ValueError):
-            bisect_kmeans(np.zeros((5, 2)), BisectConfig(k=2, restarts=0))
+            bisect_kmeans(np.zeros((5, 2)), RunConfig(k=2, restarts=0))
         with pytest.raises(ValueError, match="at least"):
-            bisect_kmeans(np.zeros((3, 2)), BisectConfig(k=4))
+            bisect_kmeans(np.zeros((3, 2)), RunConfig(k=4))
 
     def test_deterministic(self):
         rng = np.random.default_rng(55)
         X = rng.normal(0, 1, (25, 2))
-        t1 = bisect_kmeans(X, BisectConfig(k=4, restarts=3, seed=7))
-        t2 = bisect_kmeans(X, BisectConfig(k=4, restarts=3, seed=7))
+        t1 = bisect_kmeans(X, RunConfig(k=4, restarts=3, seed=7))
+        t2 = bisect_kmeans(X, RunConfig(k=4, restarts=3, seed=7))
         assert t1.to_json() == t2.to_json()
 
 

@@ -119,6 +119,17 @@ class TestCluster:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["metrics"]["purity"] == pytest.approx(1.0)
         assert not (out / "model.npz").exists()
+        # one config schema for every --algo: the algorithm plus every RunConfig field
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        assert set(manifest["config"]) == {"algo"} | fields
+        assert manifest["config"]["algo"] == "bisect-kmeans"
+        assert manifest["config"]["seed"] == 4
+
+    @pytest.mark.parametrize("flags", [["--restarts", "0"], ["--k", "1"]])
+    def test_bisect_kmeans_invalid_config_exits_2(self, blob_csv, tmp_path, flags):
+        args = ["cluster", "--in", str(blob_csv), "--algo", "bisect-kmeans", "--k", "2",
+                "--out-dir", str(tmp_path / "bkm"), *flags]
+        assert main(args) == 2
 
     def test_ahc_algo_and_gdk_kernel(self, blob_csv, tmp_path):
         out = tmp_path / "ahc"
@@ -129,6 +140,12 @@ class TestCluster:
         manifest = json.loads((out2 / "manifest.json").read_text())
         assert manifest["config"]["kernel"] == "gdk"
         assert not (out2 / "model.npz").exists()
+        assert "kernel_coverage" not in manifest and "transform_workers" not in manifest
+        # the Gaussian backend gives every split its alpha too
+        splits = [node for node in json.loads((out2 / "tree.json").read_text())["nodes"]
+                  if node["children"] is not None]
+        assert manifest["k_effective"] == 2 and len(splits) == 1
+        assert all(isinstance(node["alpha"], float) for node in splits)
 
     def test_no_refine_flag(self, blob_csv, tmp_path):
         out = tmp_path / "nr"
@@ -350,6 +367,13 @@ class TestBench:
     def test_empty_sizes_exits_2(self, tmp_path):
         rc = main(["bench", "--sizes", ",", "--out-dir", str(tmp_path / "b")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--sizes=0x", "--sizes=-1x", "--sizes=1x,0",
+                                      "--sizes=nanx", "--repeats=0"])
+    def test_nonpositive_size_or_repeats_exits_2(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.setattr(cli, "run_scaleup", lambda *a: pytest.fail("ran the bench"))
+        assert main(["bench", flag, "--out-dir", str(tmp_path / "b")]) == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
 
     def test_scaleup_warms_up_then_times_sizes_round_robin(self, monkeypatch):
         # one untimed run of each algorithm at the smallest size, then each

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelhc import corecluster, fit_isolation_model, ikernel
+from kernelhc import RunConfig, corecluster, fit_isolation_model, ikernel, run
 
 from conftest import rng_data
 
@@ -98,3 +98,17 @@ def test_traced_kpskc_counts_one_query_per_distinct_member_set(tracer):
     assert cores.warnings == untraced.warnings
     for a, b in zip(cores.meta["gamma_traces"], untraced.meta["gamma_traces"]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kernel", ["idk", "gdk"])
+def test_run_result_feats_is_the_isolation_backend_only(kernel):
+    # perfbench reads RunResult.feats as the isolation-kernel backend and
+    # skips its isolation-only readouts when it is None
+    X = rng_data(6, n=60, d=2)
+    res = run(X, RunConfig(k=2, psi=6, t=20, s=40, kernel=kernel, bandwidth=0.3))
+    if kernel == "idk":
+        assert isinstance(res.ops, ikernel.IdkOps)
+        assert res.feats is res.ops
+    else:
+        assert isinstance(res.ops, ikernel.GdkOps)
+        assert res.feats is None
