@@ -93,10 +93,23 @@ def cmd_generate(args) -> int:
 # cluster
 # ---------------------------------------------------------------------------
 
+# the RunConfig fields bisecting k-means does not read, and their flags
+_KERNEL_FLAGS = dict(psi="--psi", t="--t", tau="--tau", rho="--rho", s="--subset-size", kernel="--kernel",
+                     bandwidth="--bandwidth", clusterer="--clusterer", eps_sim="--eps-sim",
+                     min_pts="--min-pts", refine="--no-refine")
+
+
 def _run_config(args) -> hier.RunConfig:
     """The RunConfig the cluster flags set: one flag per field, except
-    tree_method, which --algo ahc sets."""
+    tree_method, which --algo ahc sets. --algo bisect-kmeans reads only k,
+    restarts and seed, so a flag that sets another field away from its
+    default is rejected rather than ignored."""
     config = hier.RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(hier.RunConfig)})
+    default = hier.RunConfig(k=config.k)
+    ignored = [flag for name, flag in _KERNEL_FLAGS.items() if getattr(config, name) != getattr(default, name)]
+    if args.algo == "bisect-kmeans" and ignored:
+        raise ValueError(f"{ignored[0]} does not apply to --algo bisect-kmeans, "
+                         "which reads only --k, --restarts and --seed")
     return dataclasses.replace(config, tree_method="ahc") if args.algo == "ahc" else config
 
 

@@ -74,12 +74,14 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
     similarity is already below tau, so fewer than k clusters may return.
 
     Each round works on ``ops.take(remaining)`` and scores a member set only
-    when it differs from the last one scored (``meta["scored_sets"]`` counts
-    them per cluster). Both savings are exact: the query is a deterministic
-    function of the member array in its row order, and a row's score reads
-    only that row (a CSR matvec sums the row's own entries in order, a
-    Gaussian row mean reduces the row's own values), so dropping removed rows
-    changes no remaining row's bits.
+    when it differs, as a set, from the last one scored (``meta["scored_sets"]``
+    counts them per cluster), from a group state kept by difference:
+    ``ops.regroup`` reads only the rows that joined or left since. The savings
+    are exact. A row's score reads only that row (a CSR matvec sums the row's
+    own entries in order, a Gaussian row mean reduces the row's own values),
+    so dropping removed rows changes no remaining row's bits. Isolation-kernel
+    cell counts are integers, which add and subtract exactly, and a Gaussian
+    state is the sorted member array, as group_state of the grown set is.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
@@ -115,19 +117,20 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
             )
             break
 
-        grown = np.array([p, q], dtype=np.int64)
-        scored = local[:0]  # the member array sims_g was computed for
-        n_scored = 0
+        grown = np.isin(local, [p, q])  # the members, as a mask over rest's rows
+        state = rest.group_state(np.array([p, q]))  # scored now, for the first step (gamma > tau)
+        scored, sims_g, n_scored = grown, rest.point_to_state(state), 1  # the members sims_g is for
         trace = []
         while gamma > tau:
             trace.append(gamma)
             if not np.array_equal(grown, scored):
-                sims_g = rest.point_to_state(rest.group_state(grown))
+                state = rest.regroup(state, np.flatnonzero(grown & ~scored), np.flatnonzero(scored & ~grown))
+                sims_g = rest.point_to_state(state)
                 scored = grown
                 n_scored += 1
-            new = np.flatnonzero(sims_g > gamma)
+            new = sims_g > gamma
             gamma *= 1.0 - rho
-            if len(new) == 0:
+            if not new.any():
                 # a fully collapsed growth step would leave nothing to embed
                 warnings.append(
                     f"cluster {len(clusters)}: growth step emptied the member "
@@ -136,10 +139,10 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
                 break
             grown = new
 
-        clusters.append(np.sort(remaining[grown]))
+        clusters.append(remaining[grown])
         gamma_traces.append(np.asarray(trace))
         scored_sets.append(n_scored)
-        remaining = np.delete(remaining, grown)
+        remaining = remaining[~grown]
 
     if len(clusters) < k and not warnings:
         warnings.append(f"terminated with {len(clusters)} of {k} requested clusters")

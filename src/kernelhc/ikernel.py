@@ -414,7 +414,7 @@ def median_heuristic_bandwidth(X: np.ndarray, max_points: int = 1000, seed: int 
 # ---------------------------------------------------------------------------
 # Kernel backends
 #
-# The clustering pipeline only ever needs five queries; both kernels expose
+# The clustering pipeline only ever needs six queries; both kernels expose
 # them behind the same duck-typed surface so the ablation is a constructor
 # swap. A "group state" is whatever the backend caches for one cluster: the
 # integer cell counts and size for the isolation kernel, the member rows for
@@ -479,6 +479,19 @@ class IdkOps:
         if len(rows) == 0:
             raise ValueError("cannot embed an empty point set")
         return np.bincount(self.onehot[rows].indices, minlength=self.onehot.shape[1]), len(rows)
+
+    def regroup(self, state: tuple, rows_in: np.ndarray, rows_out: np.ndarray) -> tuple:
+        """The group's state with rows_in joined and rows_out gone, from their cells
+        alone, sliced from Phi's indptr (a CSR row index costs more than that)."""
+        (counts, m), (indptr, indices) = state, (self.onehot.indptr, self.onehot.indices)
+        m += len(rows_in) - len(rows_out)
+        if m < 1:
+            raise ValueError("cannot embed an empty point set")
+        for rows, op in ((rows_in, np.add), (rows_out, np.subtract)):
+            if len(rows):  # rows_out seldom: most growth steps of kpskc only add rows
+                cells = np.concatenate([indices[indptr[r]:indptr[r + 1]] for r in rows])
+                counts = op(counts, np.bincount(cells, minlength=self.onehot.shape[1]))
+        return counts, m
 
     def point_to_state(self, state: tuple) -> np.ndarray:
         """Every point's similarity to one group: its shared cells / (m t)."""
@@ -556,6 +569,10 @@ class GdkOps:
         if len(rows) == 0:
             raise ValueError("cannot embed an empty point set")
         return rows
+
+    def regroup(self, state: np.ndarray, rows_in: np.ndarray, rows_out: np.ndarray) -> np.ndarray:
+        """The sorted member rows with rows_in joined and rows_out gone."""
+        return self.group_state(np.union1d(np.setdiff1d(state, rows_out), rows_in))
 
     def point_to_state(self, state: np.ndarray) -> np.ndarray:
         return self._row_means(self.X, self.X[state])

@@ -131,6 +131,28 @@ class TestCluster:
                 "--out-dir", str(tmp_path / "bkm"), *flags]
         assert main(args) == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--psi", "999", "--subset-size", "99999", "--tau", "-5"], "--psi"),
+        (["--t", "50"], "--t"), (["--rho", "0.2"], "--rho"), (["--subset-size", "60"], "--subset-size"),
+        (["--kernel", "gdk"], "--kernel"), (["--bandwidth", "1.0"], "--bandwidth"),
+        (["--clusterer", "kmeans"], "--clusterer"), (["--eps-sim", "0.3"], "--eps-sim"),
+        (["--min-pts", "8"], "--min-pts"), (["--no-refine"], "--no-refine"),
+        (["--restarts", "3", "--tau", "-5"], "--tau")])
+    def test_bisect_kmeans_ignored_flag_exits_2(self, blob_csv, tmp_path, capsys, flags, named):
+        # a flag that sets a field bisecting k-means does not read: the first one is named
+        out = tmp_path / "bkm"
+        args = ["cluster", "--in", str(blob_csv), "--algo", "bisect-kmeans", "--k", "2",
+                "--out-dir", str(out), *flags]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named} does not apply")
+        assert not (out / "manifest.json").exists()
+
+    def test_bisect_kmeans_accepts_kernel_flags_at_their_defaults(self, blob_csv, tmp_path):
+        defaults = RunConfig(k=2)
+        out = tmp_path / "bkm"
+        assert main(["cluster", "--in", str(blob_csv), "--algo", "bisect-kmeans", "--k", "2",
+                     "--psi", str(defaults.psi), "--tau", str(defaults.tau), "--out-dir", str(out)]) == 0
+
     def test_ahc_algo_and_gdk_kernel(self, blob_csv, tmp_path):
         out = tmp_path / "ahc"
         assert main(cluster_args(blob_csv, out, "--algo", "ahc")) == 0

@@ -54,7 +54,8 @@ def full_rescore_kpskc(ops, k, tau, rho):
     """The growth loop as it was before it skipped work: every round scores
     every row of ``ops``, and every growth step queries its member set anew.
     Also returns the seeding rounds run and, per cluster, the member sets a
-    step scored that differ from the set the step before it scored."""
+    step scored that differ, as sets, from the set the step before it scored:
+    [p, q] and the sorted [q, p] are one set."""
     m = ops.n
     remaining = np.arange(m)
     clusters, warnings, gamma_traces, distinct_sets = [], [], [], []
@@ -77,7 +78,7 @@ def full_rescore_kpskc(ops, k, tau, rho):
         trace, scored = [], []
         while gamma > tau:
             trace.append(gamma)
-            if not scored or not np.array_equal(scored[-1], grown):
+            if not scored or not np.array_equal(np.sort(scored[-1]), np.sort(grown)):
                 scored.append(grown)
             sims_g = ops.point_to_state(ops.group_state(grown))
             new = remaining[sims_g[remaining] > gamma]
@@ -264,6 +265,23 @@ class TestKpskcSavedWork:
         ops = GdkOps(rng_data(8, n=60, spread=4.0), bandwidth=0.3)
         cores, rounds = assert_matches_full_rescore(ops, 4, tau=0.01, rho=0.1)
         assert cores.k == 4 and rounds == 4
+
+    @pytest.mark.parametrize("kind", ["idk", "gdk"])
+    def test_members_leave(self, monkeypatch, kind):
+        # inputs where a growth step drops a member, so regroup gets rows_out
+        if kind == "idk":
+            ops, tau = blob_ops(rng_data(2, n=60), psi=12)[1], 0.05
+        else:
+            ops, tau = GdkOps(rng_data(6, n=30), bandwidth=0.3), 0.01
+        left = []
+        original = type(ops).regroup
+
+        def counted(self, state, rows_in, rows_out):
+            left.append(len(rows_out))
+            return original(self, state, rows_in, rows_out)
+        monkeypatch.setattr(type(ops), "regroup", counted)
+        assert_matches_full_rescore(ops, 4, tau=tau, rho=0.1)
+        assert sum(left) >= 1
 
     def test_one_query_per_distinct_member_set(self, monkeypatch):
         ops = collapsed_gdk()

@@ -765,7 +765,7 @@ def test_empty_group_rejected(backend):
     empty, rows = np.empty(0, dtype=np.int64), np.arange(3)
     for query in (lambda: ops.group_state(empty), lambda: ops.set_similarity(rows, empty),
                   lambda: ops.set_similarity(empty, rows), lambda: ops.set_similarity([], []),
-                  lambda: ops.gram([rows, empty])):
+                  lambda: ops.gram([rows, empty]), lambda: ops.regroup(ops.group_state(rows), empty, rows)):
         with pytest.raises(ValueError, match="cannot embed an empty point set"):
             query()
 
@@ -774,8 +774,57 @@ def test_backends_expose_the_same_queries():
     def public(cls):
         return {name for name in vars(cls) if not name.startswith("_")}
     assert public(IdkOps) - {"fit"} == public(GdkOps)
-    assert {"group_state", "point_to_state", "set_similarity", "gram", "point_row",
+    assert {"group_state", "regroup", "point_to_state", "set_similarity", "gram", "point_row",
             "pairwise"} <= public(GdkOps)
+
+
+class TestRegroup:
+    """regroup(state, joined, left) gives the scores group_state gives the
+    new member set from scratch, bit for bit."""
+
+    @staticmethod
+    def backend(kind, seed):
+        # 11 points and, as row 11, one that no cell covers: its Phi row is empty
+        X = np.vstack([rng_data(seed, n=11), [[1e6, -1e6]]])
+        if kind == "gdk":
+            return GdkOps(X, bandwidth=0.5)
+        ops = IdkOps.fit(fit_isolation_model(X[:11], psi=4, t=24, seed=seed), X)
+        assert ops.onehot[11].nnz == 0
+        return ops
+
+    @staticmethod
+    def assert_regroups(ops, a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        state = ops.regroup(ops.group_state(a), np.setdiff1d(b, a), np.setdiff1d(a, b))
+        want = ops.group_state(np.sort(b))
+        assert np.array_equal(ops.point_to_state(state), ops.point_to_state(want))
+        if isinstance(ops, IdkOps):
+            assert np.array_equal(state[0], want[0]) and state[1] == want[1]
+        else:
+            assert np.array_equal(state, want)
+
+    @pytest.mark.parametrize("kind", ["idk", "gdk"])
+    @pytest.mark.parametrize("change", ["join", "leave", "both", "none"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**20), data=st.data())
+    def test_matches_group_state(self, kind, change, seed, data):
+        ops = self.backend(kind, seed)
+        a = data.draw(st.sets(st.integers(0, 11), min_size=2, max_size=11))
+        joined = left = set()
+        if change in ("join", "both"):
+            joined = data.draw(st.sets(st.sampled_from(sorted(set(range(12)) - a)), min_size=1))
+        if change in ("leave", "both"):
+            left = data.draw(st.sets(st.sampled_from(sorted(a)), min_size=1, max_size=len(a) - 1))
+        # the state as kpskc first builds it, [p, q], need not be sorted
+        order = data.draw(st.permutations(sorted(a)))
+        self.assert_regroups(ops, order, sorted((a | joined) - left))
+
+    @pytest.mark.parametrize("kind", ["idk", "gdk"])
+    def test_uncovered_row_joins_and_leaves(self, kind):
+        ops = self.backend(kind, 3)
+        for a, b in (([4, 0], [0, 11]), ([0, 11], [0, 3]), ([0, 11], [0, 3, 11]), ([11, 2], [11, 2]),
+                     ([5, 11], [5])):
+            self.assert_regroups(ops, a, b)
 
 
 class TestGram:
