@@ -57,17 +57,17 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
 
 # Most float64 scores and gathered weights the screen holds at once, on all threads.
 SCREEN_BLOCK = 1 << 19
-# Most rows per kd-tree leaf of the transform. Wall ms per transform of the seed-1
+# Most rows per leaf of the transform (_leaves). Wall ms per transform of the seed-1
 # perfbench inputs (psi 48, t 200), median of 15 alternating calls in one process,
 # BLAS on one thread (as perfbench pins it), ranges over 2 runs on 2 vCPUs; the
-# last column is the per-leaf center selection this batched one replaced:
-#   leaf               128        256        512     per-leaf, 128
-#   analog-3k   2 w    38-40      38-47      51-51      38-45
-#   analog-24k  2 w    206-215    175-175    182-199    265-269
-#   blobs-64d   2 w    134-139    133-142    137-145    139-146
-#   analog-3k   1 w    46-48      55-59      73-85      50-52
-#   analog-24k  1 w    219-233    221-239    271-283    256-279
-#   blobs-64d   1 w    154-166    155-172    175-193    174-188
+# last column is the transform these leaves and the byte mask replaced (median splits):
+#   leaf               128        256        512     median tree, 256
+#   analog-3k   2 w    41-45      39-43      44-49      48-56
+#   analog-24k  2 w    220-262    175-184    189-203    188-217
+#   blobs-64d   2 w    139-149    125-136    112-112    140-148
+#   analog-3k   1 w    42-46      40-44      50-53      61-65
+#   analog-24k  1 w    271-276    243-246    261-279    333-335
+#   blobs-64d   1 w    159-210    145-196    140-177    206-242
 SCAN_LEAF = 256
 # Most cells per row block of IdkOps.fit's Phi build.
 SCAN_BLOCK = 1 << 18
@@ -101,9 +101,28 @@ def _run_tasks(task, items) -> list:
         return list(pool.map(task, items))
 
 
-def _leaves(node) -> list:
-    """Row indices of each leaf under a cKDTree node."""
-    return [node.indices] if node.split_dim == -1 else _leaves(node.lesser) + _leaves(node.greater)
+def _leaves(X: np.ndarray) -> list:
+    """Row indices of the transform's leaves, in tree order: those of a
+    sliding-midpoint kd-tree (Maneewongvatana & Mount, 1999), whose cuts tend to
+    fall between clusters, cut where more than SCAN_LEAF rows coincide, with each
+    run of leaves under h = SCAN_LEAF // 2 rows merged into the next while the
+    merge holds at most SCAN_LEAF: the small leaves a heavy tail peels off share
+    a leaf. Any two neighbours then hold h rows or more, so n rows make at most
+    2 floor(n / h) + 1 leaves."""
+    stack, cut = [cKDTree(X, leafsize=SCAN_LEAF, balanced_tree=False).tree], []
+    while stack:  # depth first, lesser side first; a skewed tree can outgrow the recursion limit
+        node = stack.pop()
+        if node.split_dim == -1:
+            cut += [node.indices[i:i + SCAN_LEAF] for i in range(0, len(node.indices), SCAN_LEAF)]
+        else:
+            stack += [node.greater, node.lesser]
+    leaves = cut[:1]
+    for rows in cut[1:]:
+        if len(leaves[-1]) < SCAN_LEAF // 2 and len(leaves[-1]) + len(rows) <= SCAN_LEAF:
+            leaves[-1] = np.concatenate([leaves[-1], rows])
+        else:
+            leaves.append(rows)
+    return leaves
 
 
 def _kept_groups(keep: np.ndarray) -> tuple:
@@ -138,7 +157,7 @@ def _kept_groups(keep: np.ndarray) -> tuple:
 # That argument holds for any order of the d - 1 sums, with or without FMA, so
 # the bound holds too for the root of an einsum of squared differences, which
 # is how the transform computes R: no inflation is needed. Let p be the
-# midpoint of a leaf's box, R the largest such distance from p to its rows x
+# midpoint of a leaf's bounding box, R the largest such distance from p to its rows x
 # (the root of the largest square, as sqrt is monotone), c* any center of a
 # partitioning and m = cdist(p, c*). If cdist picks
 # c for x, cdist(x, c) <= cdist(x, c*) and, up to those errors, |p - c| <=
@@ -182,21 +201,26 @@ def _kept_groups(keep: np.ndarray) -> tuple:
 # E takes 3d products and D_cdist d more, so tol also carries
 # 4 (d + 2) _ETA. Scores are finite (_check_matrix); a NaN is never counted.
 def _screen_cells(scores: np.ndarray, sq_x: np.ndarray, tol: np.ndarray, idx: np.ndarray,
-                  r2: np.ndarray) -> np.ndarray:
+                  r2: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Cells (g, b) of b rows in g partitionings from their scores (k, g, b)
     against the centers idx (k, g), of squared radii r2 (g, psi); -2 where
-    the screen cannot certify the cell. Overwrites the scores."""
+    the screen cannot certify the cell. Writes a one-byte mask of the scores
+    into the first k g b bytes of mask; the scores are left as they are."""
     k, g, b = scores.shape
     est = scores.min(axis=0)  # the best score, then ||x||^2 + best, in place
-    low = np.less_equal(scores, est + 2 * tol, out=scores).reshape(k, -1)  # 1.0 within 2 tol of the best
+    low = np.less_equal(scores, est + 2 * tol, out=mask[:scores.size].view(bool).reshape(k, g, b))
     # per pair, whether only the best score lies within 2 tol of it, and the
-    # summed positions of the scores that do: the best's when it is alone
-    alone = (np.add.reduce(low, axis=0) == 1).reshape(g, b)
-    pos = np.arange(k) @ low
-    cell = idx[np.minimum(pos, k - 1, out=pos).astype(np.int32).reshape(g, b), np.arange(g)[:, None]]
-    del pos
+    # summed positions of the scores that do: the best's when it is alone. Both
+    # sum bytes in the narrowest unsigned type that holds k (a count of at most
+    # k, a lone position below k); a position sum that wraps is never alone
+    low, acc = low.view(np.uint8), np.min_scalar_type(k)
+    alone = np.add.reduce(low, axis=0, dtype=acc) == 1
+    pos = np.einsum("k,kgb->gb", np.arange(k, dtype=acc), low)
+    # the center at that position and its squared radius, by flat index into
+    # the (g, k) tables: 2-d fancy indexes cost about 2.5 times as much
+    at = np.minimum(pos, k - 1, out=pos) + np.arange(0, g * k, k)[:, None]
+    cell, rad2 = np.take(idx.T, at), np.take(np.take_along_axis(r2, idx.T, axis=1), at)
     est += sq_x
-    rad2 = r2[np.arange(g)[:, None], cell]
     np.copyto(cell, -1, where=est > rad2)
     est -= rad2
     np.abs(est, out=est)
@@ -230,14 +254,16 @@ class IsolationModel:
         its nearest center per partitioning, so cells never overlap; ties go
         to the lowest center index.
 
-        A kd-tree leaf (at most SCAN_LEAF rows) scores only the centers that can
-        be nearest to one of its rows, in two groups of partitionings padded
-        to their largest kept count, with a GEMM that certifies the pairs beyond
-        its rounding error and leaves the rest to a rescan of all psi centers.
-        The cells are the full ``cdist`` scan's, bit for bit (comments above
-        _screen_cells). Leaves and rescans run on up to WORKERS threads, in
-        tasks that write only their own cells; a cell depends on its row alone,
-        so none of WORKERS, SCAN_LEAF, SCREEN_BLOCK changes it. A task selects
+        A leaf (at most SCAN_LEAF rows of a sliding-midpoint kd-tree, small
+        leaves merged: _leaves) scores only the centers that can be nearest to
+        one of its rows, in two groups of partitionings padded to their largest
+        kept count, with a GEMM that certifies the pairs beyond its rounding
+        error (a byte mask of the scores near the best) and leaves the rest to
+        a rescan of all psi centers. The cells are the full ``cdist`` scan's,
+        bit for bit (comments above _screen_cells). Leaves and rescans run on
+        up to WORKERS threads, in tasks that write only their own cells; a cell
+        depends on its row alone, so none of WORKERS, SCAN_LEAF, SCREEN_BLOCK
+        or the leaves changes it. A task selects
         the centers for a batch of its leaves at once, in whole-batch array
         passes (one GEMM for every leaf's midpoint, one sort of every kept
         mask), so that only the scoring GEMMs, _screen_cells and the cell
@@ -252,9 +278,7 @@ class IsolationModel:
         out = np.empty((n, t), dtype=np.int32)
         if not n:
             return out
-        # kd-tree leaves, cut where more than SCAN_LEAF rows coincide
-        leaves = [r[i:i + SCAN_LEAF] for r in _leaves(cKDTree(X, leafsize=SCAN_LEAF).tree)
-                  for i in range(0, len(r), SCAN_LEAF)]
+        leaves = _leaves(X)
         flat = self.centers.reshape(-1, d)
         grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
         tasks = min(WORKERS, len(leaves))
@@ -281,7 +305,7 @@ class IsolationModel:
         batch = max(1, block // (2 * (t * psi + SCAN_LEAF * d)))
 
         def scan(task):  # the leaves first, first + tasks, ..., a batch at a time
-            first, buf, rows1, keep, cells = task
+            first, buf, mask, rows1, keep, cells = task
             mine = leaves[first::tasks]
             for group in (mine[i:i + batch] for i in range(0, len(mine), batch)):
                 m, start = len(group), np.cumsum([0] + [len(rows) for rows in group])
@@ -320,12 +344,14 @@ class IsolationModel:
                                    if w else table[pp[0] * psi:(pp[-1] + 1) * psi])
                             vals = buf[ip.size * w:][:len(sub) * len(rows)].reshape(len(sub), -1)
                             scores = np.matmul(sub, xs.T, out=vals).reshape(k, len(pp), -1)
-                            cells[:len(rows), pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp]).T
+                            cells[:len(rows), pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp],
+                                                                  mask).T
                     out[rows] = cells[:len(rows)]
         # buffers made on this thread: a worker's freed ones stay in its malloc arena; a
-        # call of one partitioning, and a batch of one leaf, fit at least
+        # call of one partitioning, and a batch of one leaf, fit at least; a call's
+        # scores fit in size floats, so their mask in size bytes
         size = max(block, psi * (SCAN_LEAF + d + 1), 2 * (t * psi + SCAN_LEAF * d))
-        _run_tasks(scan, [(first, np.empty(size), np.ones((SCAN_LEAF, d + 1)),
+        _run_tasks(scan, [(first, np.empty(size), np.empty(size, np.uint8), np.ones((SCAN_LEAF, d + 1)),
                            np.empty((batch, t, psi), np.int32), np.empty((SCAN_LEAF, t), np.int32))
                           for first in range(tasks)])
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from kernelhc import IdkOps, IsolationModel, fit_isolation_model, ikernel
@@ -481,6 +482,14 @@ class TestPrunedScan:
         assert np.array_equal(cdist(C[cols], X[5:18]), full[5:18, cols].T)
 
 
+def screened(monkeypatch):
+    """The score slabs (k, g, b) _screen_cells receives, as their shapes."""
+    shapes, screen = [], ikernel._screen_cells
+    monkeypatch.setattr(ikernel, "_screen_cells",
+                        lambda scores, *rest: shapes.append(scores.shape) or screen(scores, *rest))
+    return shapes
+
+
 class TestPrunedScreen:
     """The GEMM screen scores fewer centers where a leaf's rows are far from
     most of them."""
@@ -493,18 +502,85 @@ class TestPrunedScreen:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(1200, 64)) + rng.uniform(-10, 10, size=(8, 64))[rng.integers(0, 8, size=1200)]
         model = fit_isolation_model(X, psi=16, t=30, seed=4)
-        scored, groups = [], []
-        screen, kept = ikernel._screen_cells, ikernel._kept_groups
-        monkeypatch.setattr(ikernel, "_screen_cells",
-                            lambda scores, *rest: scored.append(scores.size) or screen(scores, *rest))
+        shapes, groups, kept = screened(monkeypatch), [], ikernel._kept_groups
         monkeypatch.setattr(ikernel, "_kept_groups", lambda keep: groups.append(kept(keep)) or groups[-1])
         assert np.array_equal(model.transform(X), full_scan(model, X))
-        assert sum(scored) < 0.75 * len(X) * model.t * model.psi
+        assert sum(map(np.prod, shapes)) < 0.75 * len(X) * model.t * model.psi
         assert any(((0 < cut) & (cut < model.t)).any() for _, cut, _, _ in groups)
         for parts, cut, _, _ in groups:  # every partitioning once, each group in ascending order
             for part, c in zip(parts, cut):
                 assert sorted(part) == list(range(model.t))
                 assert (np.diff(part[:c]) > 0).all() and (np.diff(part[c:]) > 0).all()
+
+
+def heavy_tailed(kind):
+    """Inputs whose midpoint tree peels off many small leaves: lognormal
+    (sigma 3) in 30-d, 10 points at 1e6 beside 23,990 standard normal ones,
+    and a geometric sequence (ratio 2.1) whose midpoint tree cuts one point
+    off per level, deeper than Python's recursion limit."""
+    rng = np.random.default_rng(11)
+    if kind == "lognormal":
+        return rng.lognormal(sigma=3.0, size=(8000, 30))
+    if kind == "far-cloud":
+        return np.vstack([rng.normal(size=(23990, 2)), 1e6 + rng.normal(size=(10, 2))])
+    return 2.1 ** np.arange(-950.0, 471.0)[:, None]
+
+
+class TestMidpointLeaves:
+    """transform's leaves come from sliding-midpoint splits, with runs of
+    small leaves merged; whatever the leaves, the cells are the full scan's."""
+
+    @pytest.mark.parametrize("kind", ["lognormal", "far-cloud", "geometric"])
+    def test_heavy_tails_keep_few_leaves(self, kind):
+        # two neighbouring leaves hold at least SCAN_LEAF // 2 rows, so n rows
+        # make at most 2 floor(n / (SCAN_LEAF // 2)) + 1 leaves
+        X = heavy_tailed(kind)
+        leaves, half = ikernel._leaves(X), ikernel.SCAN_LEAF // 2
+        assert np.array_equal(np.sort(np.concatenate(leaves)), np.arange(len(X)))
+        assert max(map(len, leaves)) <= ikernel.SCAN_LEAF
+        assert len(leaves) <= 2 * (len(X) // half) + 1
+        if kind != "far-cloud":  # the merge, not the splits, keeps the bound
+            assert (cKDTree(X, leafsize=ikernel.SCAN_LEAF, balanced_tree=False).size + 1) // 2 > len(leaves)
+        model = fit_isolation_model(X, psi=16, t=10, seed=3)
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+
+    def test_count_past_one_byte(self, monkeypatch):
+        # psi = 300 centers, 257 of them on the unit sphere: at the origin they
+        # tie, so 257 scores lie within 2 tol of the best, a count that an 8-bit
+        # accumulator would wrap to 1 ("alone")
+        rng = np.random.default_rng(5)
+        sphere = rng.normal(size=(257, 8))
+        sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+        X = np.vstack([sphere, 3 * rng.normal(size=(43, 8)) / np.sqrt(8) + 6])
+        model = fit_isolation_model(X, psi=300, t=5, seed=5)
+        queries = np.vstack([X, np.zeros((5, 8))])
+        shapes = screened(monkeypatch)
+        assert np.array_equal(model.transform(queries), full_scan(model, queries))
+        assert max(k for k, _, _ in shapes) >= 257
+
+    def test_integer_grid_ties_at_large_k(self, monkeypatch):
+        # the 243 points of {-1, 0, 1}^5, psi = 300 of 3,000 rows: coinciding
+        # centers tie and a leaf scores up to every one of them
+        X = np.random.default_rng(2).integers(-1, 2, size=(3000, 5)).astype(np.float64)
+        model = fit_isolation_model(X, psi=300, t=6, seed=2)
+        shapes = screened(monkeypatch)
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert max(k for k, _, _ in shapes) >= 256
+
+    def test_separated_blobs_score_fewer_pairs_than_the_median_tree(self, monkeypatch):
+        # 8 unit Gaussians of 300 points, centers uniform in [-10, 10]^64: the
+        # median tree's cuts run through blobs, the midpoint ones between them
+        # (30% and 79% of all pairs scored; not every draw gains this much)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(2400, 64)) + np.repeat(rng.uniform(-10, 10, size=(8, 64)), 300, axis=0)
+        model = fit_isolation_model(X, psi=48, t=30, seed=3)
+        shapes = screened(monkeypatch)
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        midpoint = sum(map(np.prod, shapes))
+        shapes.clear()
+        monkeypatch.setattr(ikernel, "cKDTree", lambda X, leafsize, balanced_tree: cKDTree(X, leafsize=leafsize))
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert midpoint < 0.5 * sum(map(np.prod, shapes))
 
 
 def kept_groups_reference(keep):
@@ -669,15 +745,17 @@ class TestWorkers:
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_more_workers_than_partitionings(self, monkeypatch, pool_spy, t):
-        # 8 workers scan 4 leaves on 4 threads; one leaf and one partitioning
-        # leave one task for the screen and one for the rescans, so no pool
+        # 8 workers scan the leaves of at most 40 rows on one thread per leaf (3
+        # and 5 leaves); one leaf and one partitioning leave one task for the
+        # screen and one for the rescans, so no pool
         model, queries = worker_inputs(3, t=t)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 40 if t == 3 else ikernel.SCAN_LEAF)
         for name, X in queries.items():
             pool_spy.clear()
             assert np.array_equal(model.transform(X), oracle_cells(model, X)), name
-            assert pool_spy == [] if t == 1 else pool_spy[0] == 4
+            leaves = len(ikernel._leaves(X))
+            assert pool_spy == [] if t == 1 else leaves > 1 and pool_spy[0] == min(8, leaves)
 
     @pytest.mark.parametrize("d", [2, 16])
     @pytest.mark.parametrize("n", [0, 1, 7])
