@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corecluster import _lloyd
+from .corecluster import best_lloyd
 from .dendro import Dendrogram, Node
 from .hier import RunConfig
+from .ikernel import _check_matrix
 
 
 def leaf_sse(X: np.ndarray) -> float:
@@ -28,27 +29,8 @@ def _distinct_pair(X: np.ndarray, rng) -> np.ndarray | None:
         if not np.array_equal(X[pair[0]], X[pair[1]]):
             return pair
     # fall back to a scan so near-duplicate-heavy leaves stay splittable
-    first = X[0]
-    other = np.nonzero(~(X == first).all(axis=1))[0]
-    if len(other) == 0:
-        return None
-    return np.array([0, other[0]])
-
-
-def best_two_means(X: np.ndarray, restarts: int, rng):
-    """Best-of-restarts 2-means; returns (labels, sse, all_sses) or None
-    when the leaf has no two distinct points to seed from."""
-    best = None
-    sses = []
-    for _ in range(restarts):
-        init = _distinct_pair(X, rng)
-        if init is None:
-            return None
-        labels, _, sse = _lloyd(X, 2, init)
-        sses.append(sse)
-        if best is None or sse < best[1]:
-            best = (labels, sse)
-    return best[0], best[1], sses
+    other = np.flatnonzero((X != X[0]).any(axis=1))
+    return np.array([0, other[0]]) if len(other) else None
 
 
 def bisect_kmeans(data: np.ndarray, config: RunConfig) -> Dendrogram:
@@ -64,70 +46,55 @@ def bisect_kmeans(data: np.ndarray, config: RunConfig) -> Dendrogram:
         raise ValueError(f"k must be >= 2, got {config.k}")
     if config.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {config.restarts}")
-    X = np.asarray(data, dtype=np.float64)
+    X = _check_matrix(data)
     n = X.shape[0]
     if n < config.k:
         raise ValueError(f"need at least k={config.k} points, got {n}")
 
     rng = np.random.default_rng(config.seed)
-    rec = {0: {"points": np.arange(n), "children": None}}
-    sse_cache = {0: leaf_sse(X)}
-    split_order = []
-    warnings = []
-    next_id = 1
-
-    leaves = [0]
+    leaves = {0: np.arange(n)}  # leaf id -> its points
+    sse = {0: leaf_sse(X)}  # every node's SSE, so len(sse) is the next id
+    children, split_order = {}, []
     while len(leaves) < config.k:
-        candidates = [nid for nid in leaves if len(rec[nid]["points"]) >= 2]
-        split_done = False
-        for nid in sorted(candidates, key=lambda c: (sse_cache[c], -c), reverse=True):
-            pts = rec[nid]["points"]
-            result = best_two_means(X[pts], config.restarts, rng)
+        for nid in sorted(leaves, key=lambda c: (-sse[c], c)):
+            if len(leaves[nid]) < 2:
+                continue
+            sub = X[leaves[nid]]
+            result = best_lloyd(sub, 2, config.restarts, lambda: _distinct_pair(sub, rng))
             if result is None:
                 continue
-            labels, _, _ = result
-            left_pts, right_pts = pts[labels == 0], pts[labels == 1]
-            ids = (next_id, next_id + 1)
-            for cid, cpts in zip(ids, (left_pts, right_pts)):
-                rec[cid] = {"points": cpts, "children": None}
-                sse_cache[cid] = leaf_sse(X[cpts])
-            rec[nid]["children"] = ids
+            pts = leaves.pop(nid)
+            children[nid] = ids = (len(sse), len(sse) + 1)
+            for cid, side in zip(ids, (pts[result[0] == 0], pts[result[0] == 1])):
+                leaves[cid] = side
+                sse[cid] = leaf_sse(X[side])
             split_order.append(nid)
-            leaves.remove(nid)
-            leaves.extend(ids)
-            next_id += 2
-            split_done = True
             break
-        if not split_done:
-            warnings.append(
-                f"no splittable leaf left; stopped at {len(leaves)} of {config.k} leaves"
-            )
+        else:  # nothing splittable
             break
 
-    tree = _to_dendrogram(rec, split_order)
-    tree.warnings = warnings
+    tree = _to_dendrogram(leaves, children, split_order)
+    if len(leaves) < config.k:
+        tree.warnings.append(f"no splittable leaf left; stopped at {len(leaves)} of {config.k} leaves")
     tree.validate()
     return tree
 
 
-def _to_dendrogram(rec: dict, split_order: list) -> Dendrogram:
-    """Assign leaf IDs in left-to-right order and propagate unions upward."""
-    leaf_counter = [0]
+def _to_dendrogram(leaves: dict, children: dict, split_order: list) -> Dendrogram:
+    """Tree from each leaf's points and each split node's (left, right) ids:
+    leaves get cluster IDs in left-to-right order, inner nodes the union."""
     nodes = {}
 
-    def build(nid: int) -> tuple:
-        entry = rec[nid]
-        if entry["children"] is None:
-            cid = leaf_counter[0]
-            leaf_counter[0] += 1
-            nodes[nid] = Node(id=nid, cluster_ids=(cid,), points=np.sort(entry["points"]))
-            return (cid,)
-        left, right = entry["children"]
-        ids = build(left) + build(right)
-        nodes[nid] = Node(id=nid, cluster_ids=tuple(sorted(ids)), left=left, right=right)
-        nodes[left].parent = nid
-        nodes[right].parent = nid
+    def build(nid: int, first: int) -> tuple:  # first: the subtree's first cluster ID
+        if nid in leaves:
+            nodes[nid] = Node(id=nid, cluster_ids=(first,), points=np.sort(leaves[nid]))
+            return (first,)
+        left, right = children[nid]
+        ids = build(left, first)
+        ids += build(right, first + len(ids))
+        nodes[nid] = Node(id=nid, cluster_ids=ids, left=left, right=right)
+        nodes[left].parent = nodes[right].parent = nid
         return ids
 
-    build(0)
+    build(0, 0)
     return Dendrogram(nodes=nodes, root=0, split_order=split_order)

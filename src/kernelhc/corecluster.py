@@ -7,8 +7,8 @@ one at a time from a kernel-density seed under a geometrically decaying
 similarity threshold; k-means and a kernel-neighborhood DBSCAN are provided
 as drop-in alternatives for ablations.
 
-All finders work in subset-local row indices and carry the mapping back to
-full-dataset rows in ``subset_indices``.
+All finders work in subset-local row indices and return ``subset_indices``
+as ``np.arange(m)``; ``hier.run`` sets it to the subset's full-dataset rows.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from .ikernel import _check_matrix
 
 
 @dataclass
@@ -59,7 +61,7 @@ def select_subset(data: np.ndarray, s: int, seed: int):
     return data[idx], idx
 
 
-def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClusterSet:
+def kpskc(ops, k: int, tau: float, rho: float) -> CoreClusterSet:
     """Grow up to k core clusters from kernel-density seeds.
 
     ``ops`` is a kernel backend over the subset (see ikernel.IdkOps /
@@ -92,8 +94,6 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
     m = ops.n
     if m == 0:
         raise ValueError("cannot cluster an empty subset")
-    if subset_indices is None:
-        subset_indices = np.arange(m)
 
     remaining = np.arange(m)
     clusters: list = []
@@ -150,7 +150,7 @@ def kpskc(ops, k: int, tau: float, rho: float, subset_indices=None) -> CoreClust
     return CoreClusterSet(
         clusters=clusters,
         noise=remaining,
-        subset_indices=np.asarray(subset_indices),
+        subset_indices=np.arange(m),
         warnings=warnings,
         meta={"gamma_traces": gamma_traces, "scored_sets": scored_sets},
     )
@@ -194,37 +194,41 @@ def _lloyd(X: np.ndarray, k: int, init_rows: np.ndarray, max_iter: int = 300):
     return labels, centers, sse
 
 
-def kmeans_cores(subset: np.ndarray, k: int, restarts: int, seed: int,
-                 subset_indices=None) -> CoreClusterSet:
+def best_lloyd(X: np.ndarray, k: int, restarts: int, draw):
+    """Best-of-restarts Lloyd from ``draw()``'s initial rows; returns (labels,
+    lowest sse, every restart's sse), or None as soon as ``draw()`` does."""
+    best, sses = None, []
+    for _ in range(restarts):
+        init = draw()
+        if init is None:
+            return None
+        labels, _, sse = _lloyd(X, k, init)
+        sses.append(sse)
+        if best is None or sse < best[1]:
+            best = (labels, sse)
+    return best[0], best[1], sses
+
+
+def kmeans_cores(subset: np.ndarray, k: int, restarts: int, seed: int) -> CoreClusterSet:
     """Best-of-restarts Lloyd k-means; every point is assigned (no noise)."""
-    X = np.asarray(subset, dtype=np.float64)
+    X = _check_matrix(subset, "subset")
     m = X.shape[0]
     if k > m:
         raise ValueError(f"k ({k}) cannot exceed the subset size ({m})")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if subset_indices is None:
-        subset_indices = np.arange(m)
 
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init = rng.choice(m, size=k, replace=False)
-        labels, _, sse = _lloyd(X, k, init)
-        if best is None or sse < best[1]:
-            best = (labels, sse)
-    labels = best[0]
-    clusters = [np.nonzero(labels == j)[0] for j in range(k)]
+    labels, sse, _ = best_lloyd(X, k, restarts, lambda: rng.choice(m, size=k, replace=False))
     return CoreClusterSet(
-        clusters=clusters,
+        clusters=[np.nonzero(labels == j)[0] for j in range(k)],
         noise=np.empty(0, dtype=np.int64),
-        subset_indices=np.asarray(subset_indices),
-        meta={"sse": best[1]},
+        subset_indices=np.arange(m),
+        meta={"sse": sse},
     )
 
 
-def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int,
-                    subset_indices=None) -> CoreClusterSet:
+def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int) -> CoreClusterSet:
     """DBSCAN with kernel-similarity neighborhoods.
 
     The neighborhood of x is every point whose point-kernel similarity to x
@@ -232,8 +236,6 @@ def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int,
     size and only the k largest kept; the rest joins the noise set.
     """
     m = ops.n
-    if subset_indices is None:
-        subset_indices = np.arange(m)
     K = ops.pairwise()
     neigh = K >= eps_sim
     counts = neigh.sum(axis=1)
@@ -242,7 +244,7 @@ def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int,
         return CoreClusterSet(
             clusters=[],
             noise=np.arange(m),
-            subset_indices=np.asarray(subset_indices),
+            subset_indices=np.arange(m),
             warnings=["no core point found"],
         )
 
@@ -276,6 +278,6 @@ def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int,
     return CoreClusterSet(
         clusters=kept,
         noise=noise,
-        subset_indices=np.asarray(subset_indices),
+        subset_indices=np.arange(m),
         warnings=warnings,
     )

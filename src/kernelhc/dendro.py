@@ -48,6 +48,8 @@ class Dendrogram:
         self.nodes = nodes
         self.root = root
         self.split_order = list(split_order)
+        self.split_records = []  # per split, filled by hier.build_tree
+        self.warnings = []  # filled by baseline.bisect_kmeans
 
     # -- construction ------------------------------------------------------
 

@@ -112,7 +112,6 @@ def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
     sizes = cores.sizes()
     G = ops.gram(cores.clusters)
     tree = dendro.Dendrogram.seed(range(cores.k))
-    records = []
     while True:
         multi = [leaf for leaf in tree.leaves() if len(leaf.cluster_ids) > 1]
         if not multi:
@@ -125,9 +124,8 @@ def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
             for c in ids[2:]:
                 (left if sims[c][0] >= sims[c][1] else right).append(c)
             tree.split(leaf.id, left, right)
-            records.append({"node": leaf.id, "anchors": (a1, a2), "sims": sims,
-                            "zero_ties": sum(pair == (0.0, 0.0) for pair in sims.values())})
-    tree.split_records = records
+            tree.split_records.append({"node": leaf.id, "anchors": (a1, a2), "sims": sims,
+                                       "zero_ties": sum(pair == (0.0, 0.0) for pair in sims.values())})
     return tree
 
 
@@ -216,15 +214,12 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
     subset, idx = corecluster.select_subset(data, s, int(seeds[1]))
     ops_sub = ops.take(idx)
     if config.clusterer == "kpskc":
-        cores = corecluster.kpskc(ops_sub, config.k, config.tau, config.rho,
-                                  subset_indices=idx)
+        cores = corecluster.kpskc(ops_sub, config.k, config.tau, config.rho)
     elif config.clusterer == "kmeans":
-        cores = corecluster.kmeans_cores(subset, config.k, config.restarts,
-                                         int(seeds[2]), subset_indices=idx)
+        cores = corecluster.kmeans_cores(subset, config.k, config.restarts, int(seeds[2]))
     else:
-        cores = corecluster.ik_dbscan_cores(ops_sub, config.eps_sim,
-                                            config.min_pts, config.k,
-                                            subset_indices=idx)
+        cores = corecluster.ik_dbscan_cores(ops_sub, config.eps_sim, config.min_pts, config.k)
+    cores.subset_indices = idx
     warnings.extend(cores.warnings)
     timings["cores"] = time.perf_counter() - t0
 
@@ -236,10 +231,8 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
     t0 = time.perf_counter()
     if cores.k == 1:
         tree = dendro.Dendrogram.seed([0])
-        tree.split_records = []
     elif config.tree_method == "ahc":
         tree = dendro.ahc_build(cores, ops_sub)
-        tree.split_records = []
     else:
         tree = build_tree(cores, ops_sub)
     timings["tree"] = time.perf_counter() - t0

@@ -70,6 +70,13 @@ class TestLinkageThreshold:
 
 
 class TestBisectNarrative:
+    def test_tree_pinned(self, analog):
+        tree = bisect_kmeans(analog.points, RunConfig(k=6, restarts=10, seed=1))
+        assert tree.split_order == [0, 2, 1, 3, 6]
+        assert [len(leaf.points) for leaf in tree.leaves()] == [505, 488, 507, 380, 239, 881]
+        assert dendrogram_purity(tree, analog.labels) == pytest.approx(0.8273, abs=5e-5)
+        assert tree.warnings == []
+
     def test_elongated_cluster_divided_before_it_is_alone(self, analog):
         tree = bisect_kmeans(analog.points, RunConfig(k=6, restarts=10, seed=1))
         lshape = set(np.nonzero(analog.labels == 0)[0].tolist())

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from kernelhc import RunConfig, bisect_kmeans
-from kernelhc.baseline import best_two_means, leaf_sse
+from kernelhc.baseline import _distinct_pair, leaf_sse
+from kernelhc.corecluster import best_lloyd
 from kernelhc.dendro import leaf_labels
 
 from conftest import two_blobs
@@ -53,12 +54,20 @@ class TestBisectKmeans:
             assert l_pts and r_pts
             assert not l_pts & r_pts
 
-    def test_chosen_split_never_worse_than_any_restart(self):
+    def test_best_lloyd_keeps_lowest_sse_restart(self):
         rng = np.random.default_rng(53)
         X = rng.normal(0, 2, (30, 2))
-        labels, sse, sses = best_two_means(X, restarts=6, rng=np.random.default_rng(4))
-        assert sse == min(sses)
+        draws = np.random.default_rng(4)
+        labels, sse, sses = best_lloyd(X, 2, 6, lambda: _distinct_pair(X, draws))
         assert len(sses) == 6
+        assert sse == min(sses)
+        assert sse == pytest.approx(leaf_sse(X[labels == 0]) + leaf_sse(X[labels == 1]))
+        # returns None at the first draw that finds no seeds, drawing no further
+        inits = iter([np.array([0, 1]), None, np.array([0, 1])])
+        assert best_lloyd(X, 2, 3, lambda: next(inits)) is None
+        assert len(list(inits)) == 1
+        same = np.zeros((4, 2))  # no two distinct rows
+        assert best_lloyd(same, 2, 3, lambda: _distinct_pair(same, draws)) is None
 
     def test_duplicates_stop_early_with_warning(self):
         X = np.zeros((5, 2))  # nothing splittable
@@ -84,6 +93,17 @@ class TestBisectKmeans:
             bisect_kmeans(np.zeros((5, 2)), RunConfig(k=2, restarts=0))
         with pytest.raises(ValueError, match="at least"):
             bisect_kmeans(np.zeros((3, 2)), RunConfig(k=4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = np.random.default_rng(56).normal(0, 1, (50, 2))
+        X[7, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            bisect_kmeans(X, RunConfig(k=3))
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            bisect_kmeans(np.arange(10.0), RunConfig(k=3))
 
     def test_deterministic(self):
         rng = np.random.default_rng(55)

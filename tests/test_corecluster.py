@@ -11,6 +11,7 @@ from kernelhc import (
     kpskc,
     select_subset,
 )
+from kernelhc.corecluster import _lloyd
 from kernelhc.hier import assign_points
 from kernelhc.ikernel import GdkOps
 
@@ -325,6 +326,25 @@ class TestKmeansCores:
         got = np.zeros(12, dtype=bool)
         got[cores.clusters[1]] = True
         assert np.array_equal(got, best) or np.array_equal(~got, best)
+
+    def test_sse_is_min_over_restarts(self):
+        X = rng_data(12, n=30)
+        cores = kmeans_cores(X, k=3, restarts=5, seed=4)
+        rng = np.random.default_rng(4)
+        sses = [_lloyd(X, 3, rng.choice(30, size=3, replace=False))[2] for _ in range(5)]
+        assert len(set(sses)) > 1  # the restarts disagree, so the choice matters
+        assert cores.meta["sse"] == min(sses)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        X = rng_data(13, n=50)
+        X[3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            kmeans_cores(X, k=3, restarts=2, seed=0)
+
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            kmeans_cores(np.arange(10.0), k=3, restarts=2, seed=0)
 
     def test_k_above_subset_rejected(self):
         with pytest.raises(ValueError):

@@ -40,22 +40,16 @@ def fitted_ops(X, psi=5, t=30, seed=2):
 def random_partition_tree(seed, n, k):
     """Random divisive split structure over n points with k leaves."""
     rng = np.random.default_rng(seed)
-    rec = {0: {"points": np.arange(n), "children": None}}
-    split_order = []
-    leaves, next_id = [0], 1
+    leaves, children, split_order = {0: np.arange(n)}, {}, []
     while len(leaves) < k:
-        splittable = [nid for nid in leaves if len(rec[nid]["points"]) >= 2]
+        splittable = [nid for nid in leaves if len(leaves[nid]) >= 2]
         nid = splittable[rng.integers(len(splittable))]
-        pts = rng.permutation(rec[nid]["points"])
+        pts = rng.permutation(leaves.pop(nid))
         cut = int(rng.integers(1, len(pts)))
-        for cid, cpts in zip((next_id, next_id + 1), (pts[:cut], pts[cut:])):
-            rec[cid] = {"points": np.sort(cpts), "children": None}
-        rec[nid]["children"] = (next_id, next_id + 1)
+        children[nid] = ids = (1 + 2 * len(split_order), 2 + 2 * len(split_order))
+        leaves.update(zip(ids, (np.sort(pts[:cut]), np.sort(pts[cut:]))))
         split_order.append(nid)
-        leaves.remove(nid)
-        leaves.extend([next_id, next_id + 1])
-        next_id += 2
-    return _to_dendrogram(rec, split_order)
+    return _to_dendrogram(leaves, children, split_order)
 
 
 class TestStructure:
@@ -95,6 +89,7 @@ class TestStructure:
             assert node.cluster_ids == other.cluster_ids
             if node.points is not None:
                 assert np.array_equal(node.points, other.points)
+        assert back.split_records == [] and back.warnings == []  # declared on every tree
 
     def test_malformed_json_rejected(self):
         doc = json.loads(random_partition_tree(3, n=12, k=5).to_json())

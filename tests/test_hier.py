@@ -9,6 +9,7 @@ from kernelhc import (
     fit_isolation_model,
     kpskc,
     run,
+    select_subset,
     topology_equal,
 )
 from kernelhc.dendro import ahc_build
@@ -272,6 +273,19 @@ class TestRun:
                                    clusterer=clusterer, eps_sim=0.1, min_pts=3))
             assert res.k == 2
             assert dendrogram_purity(res.tree, labels) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("clusterer", ["kpskc", "kmeans", "ik-dbscan"])
+    def test_core_rows_lie_in_the_subset(self, clusterer):
+        X, _ = two_blobs(seed=39, n_per=25)
+        cfg = RunConfig(k=2, psi=4, t=40, s=30, seed=3, clusterer=clusterer,
+                        eps_sim=0.1, min_pts=3)
+        res = run(X, cfg)
+        seeds = np.random.default_rng(cfg.seed).integers(2**31 - 1, size=3)
+        _, idx = select_subset(X, cfg.s, int(seeds[1]))
+        assert np.array_equal(res.cores.subset_indices, idx)
+        assert res.cores.k == 2
+        for j in range(res.cores.k):
+            assert np.isin(res.cores.full_rows(j), idx).all()
 
     def test_timings_cover_all_stages(self):
         X, _ = two_blobs(seed=40, n_per=20)
