@@ -232,14 +232,22 @@ def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int) -> CoreClusterSet
     """DBSCAN with kernel-similarity neighborhoods.
 
     The neighborhood of x is every point whose point-kernel similarity to x
-    is at least ``eps_sim`` (x itself included). Clusters are ranked by
-    size and only the k largest kept; the rest joins the noise set.
+    is at least ``eps_sim`` (x itself included): a row of ``ops.neighbors``.
+    Clusters are ranked by size and only the k largest kept; the rest joins
+    the noise set. The search expands each popped core point's unlabelled
+    neighbours in ascending row order. Memory is O(s + ε-pairs) for s points,
+    plus one row block of the graph per worker thread: no s × s array.
     """
+    if eps_sim <= 0:
+        raise ValueError(f"eps_sim must be positive, got {eps_sim}")
+    if min_pts < 1:
+        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     m = ops.n
-    K = ops.pairwise()
-    neigh = K >= eps_sim
-    counts = neigh.sum(axis=1)
-    is_core = counts >= min_pts
+    if m == 0:
+        raise ValueError("cannot cluster an empty subset")
+    graph = ops.neighbors(eps_sim)
+    indptr, indices = graph.indptr, graph.indices
+    is_core = np.diff(indptr) >= min_pts
     if not np.any(is_core):
         return CoreClusterSet(
             clusters=[],
@@ -259,10 +267,10 @@ def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int) -> CoreClusterSet
             p = queue.pop()
             if not is_core[p]:
                 continue
-            for q in np.nonzero(neigh[p])[0]:
-                if labels[q] == -1:
-                    labels[q] = cid
-                    queue.append(q)
+            near = indices[indptr[p]:indptr[p + 1]]
+            near = near[labels[near] == -1]
+            labels[near] = cid
+            queue += near.tolist()
         cid += 1
 
     clusters = [np.nonzero(labels == j)[0] for j in range(cid)]

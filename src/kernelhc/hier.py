@@ -65,6 +65,10 @@ class RunConfig:
             raise ValueError(f"unknown tree method {self.tree_method!r}")
         if self.s is not None and not 2 <= self.s <= n:
             raise ValueError(f"subset size must be in [2, {n}], got {self.s}")
+        if self.eps_sim <= 0:  # every pair would be a neighbour: one cluster, from an s x s graph
+            raise ValueError(f"eps_sim must be positive, got {self.eps_sim}")
+        if self.min_pts < 1:
+            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
 
     def subset_size(self, n: int) -> int:
         return min(n, 2000) if self.s is None else self.s

@@ -14,7 +14,8 @@ which is what makes set-to-set and point-to-set comparisons cheap.
 Everything here is deterministic given (data, psi, t, seed) and immutable
 after construction, so models and feature matrices can be shared freely,
 across threads too: ``IsolationModel.transform`` (its GEMM screen of kd-tree
-leaves, and the rescans) and ``GdkOps`` run on ``WORKERS`` threads.
+leaves, and the rescans), ``GdkOps`` and both backends' ``neighbors`` run on
+``WORKERS`` threads.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ SCREEN_BLOCK = 1 << 19
 SCAN_LEAF = 256
 # Most cells per row block of IdkOps.fit's Phi build.
 SCAN_BLOCK = 1 << 18
-# Threads for the GEMM screen, its rescans and the Gaussian row means (cdist, BLAS,
-# NumPy's ufuncs and reductions release the GIL): every CPU this process may run on.
+# Threads for the GEMM screen, its rescans, the Gaussian row means and the
+# neighbour graphs (cdist, BLAS, NumPy's ufuncs and reductions and scipy's sparse
+# products release the GIL): every CPU this process may run on.
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _EPS = np.finfo(np.float64).eps  # 2u, twice the unit roundoff u
 _ETA = np.finfo(np.float64).smallest_subnormal
@@ -437,6 +439,30 @@ def median_heuristic_bandwidth(X: np.ndarray, max_points: int = 1000, seed: int 
     return med if med > 0 else 1.0
 
 
+# Most float64 kernel values one task of _row_blocks holds (2 MiB). Wall ms per point_to_state
+# of 2,129 2-d points against all of them, median of 7x10 calls, ranges over 3 runs:
+#   block      2^14   2^16   2^17   2^18   2^19   2^20
+#   1 worker   27-32  25-28         29-30         31-35
+#   2 workers  68-84  24-30  22-23  20-25  22-24  30-31
+GDK_BLOCK = 1 << 18
+
+
+def _row_blocks(rows: int, width: int, block, buf=None) -> list:
+    """[block(lo, hi, b) for each row block [lo, hi) of at most GDK_BLOCK values,
+    width per row], in block order, dealt to WORKERS threads: task f takes blocks
+    f, f + tasks, ... b is the task's buf(rows per block), or None without buf."""
+    step = max(1, GDK_BLOCK // max(width, 1))
+    count = -(-rows // step)
+    tasks = min(WORKERS, count)
+
+    def blocks(task):
+        first, b = task
+        return [block(lo, min(lo + step, rows), b) for lo in range(first * step, rows, tasks * step)]
+    # buffers made on this thread: a worker's freed ones stay in its malloc arena
+    done = _run_tasks(blocks, [(first, buf(min(step, rows)) if buf else None) for first in range(tasks)])
+    return [done[i % tasks][i // tasks] for i in range(count)]
+
+
 # ---------------------------------------------------------------------------
 # Kernel backends
 #
@@ -539,17 +565,28 @@ class IdkOps:
         own[self.onehot.indices[self.onehot.indptr[i]:self.onehot.indptr[i + 1]]] = 1.0
         return (self.onehot @ own) / self.t
 
+    def neighbors(self, eps: float) -> sparse.csr_matrix:
+        """The pairs whose point kernel (shared cells / t) is >= eps, as an
+        (n, n) boolean CSR matrix with sorted rows: each row block (_row_blocks)
+        of onehot Phi's sparse product with onehot^T, kept where its entry / t
+        is >= eps. An entry is pairwise()'s shared-cell count divided by t, the
+        same float, and a pair sharing no cell is never kept while eps > 0."""
+        right = self.onehot.T.tocsr()
+
+        def block(lo, hi, _):
+            shared = self.onehot[lo:hi] @ right
+            keep = shared.data / self.t >= eps
+            kept = np.zeros(len(keep) + 1, dtype=np.int64)
+            np.cumsum(keep, out=kept[1:])
+            near = sparse.csr_matrix((keep[keep], shared.indices[keep], kept[shared.indptr]), shape=shared.shape)
+            near.sort_indices()
+            return near
+        return sparse.vstack(_row_blocks(self.n, self.n, block), format="csr")
+
     def pairwise(self) -> np.ndarray:
-        """Phi Phi^T as a dense (n, n) point-kernel matrix."""
+        """Phi Phi^T as a dense (n, n) point-kernel matrix; only tests read it,
+        as an oracle for neighbors."""
         return (self.onehot @ self.onehot.T).toarray() / self.t
-
-
-# Most float64 kernel values one GdkOps task holds (2 MiB). Wall ms per point_to_state
-# of 2,129 2-d points against all of them, median of 7x10 calls, ranges over 3 runs:
-#   block      2^14   2^16   2^17   2^18   2^19   2^20
-#   1 worker   27-32  25-28         29-30         31-35
-#   2 workers  68-84  24-30  22-23  20-25  22-24  30-31
-GDK_BLOCK = 1 << 18
 
 
 class GdkOps:
@@ -575,19 +612,14 @@ class GdkOps:
         return np.exp(k, out=k)
 
     def _row_means(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Mean kernel value of each row of A against all of B, in row blocks of
-        at most GDK_BLOCK values dealt to WORKERS threads. A row's mean reduces
-        that row's own values whatever block holds it, so it depends on neither."""
+        """Mean kernel value of each row of A against all of B, in row blocks
+        (_row_blocks). A row's mean reduces that row's own values whatever block
+        holds it, so it depends on neither the blocks nor the threads."""
         out = np.empty(len(A))
-        step = max(1, GDK_BLOCK // len(B))
-        tasks = min(WORKERS, -(-len(A) // step))
 
-        def blocks(task):  # the blocks first, first + tasks, ...; each writes its own slice of out
-            first, buf = task
-            for lo in range(first * step, len(A), tasks * step):
-                np.mean(self._rbf(A[lo:lo + step], B, out=buf[:len(A) - lo]), axis=1, out=out[lo:lo + step])
-        # kernel blocks made on this thread: a worker's freed ones stay in its malloc arena
-        _run_tasks(blocks, [(first, np.empty((min(step, len(A)), len(B)))) for first in range(tasks)])
+        def block(lo, hi, buf):  # writes its own slice of out
+            np.mean(self._rbf(A[lo:hi], B, out=buf[:hi - lo]), axis=1, out=out[lo:hi])
+        _row_blocks(len(A), len(B), block, lambda rows: np.empty((rows, len(B))))
         return out
 
     def group_state(self, rows: np.ndarray) -> np.ndarray:
@@ -615,5 +647,21 @@ class GdkOps:
     def point_row(self, i: int) -> np.ndarray:
         return self._rbf(self.X, self.X[i][None, :])[:, 0]
 
+    def neighbors(self, eps: float) -> sparse.csr_matrix:
+        """The pairs whose point kernel is >= eps, as an (n, n) boolean CSR
+        matrix with sorted rows: each row block (_row_blocks) of kernel values,
+        thresholded into a mask, both in buffers made on the calling thread.
+        Each value is pairwise()'s, as cdist reads only its own pair of rows."""
+        n = self.n
+
+        def block(lo, hi, buf):
+            vals, mask = buf
+            near = np.greater_equal(self._rbf(self.X[lo:hi], self.X, out=vals[:hi - lo]), eps, out=mask[:hi - lo])
+            return sparse.csr_matrix(near)
+        return sparse.vstack(_row_blocks(n, n, block, lambda rows: (np.empty((rows, n)), np.empty((rows, n), bool))),
+                             format="csr")
+
     def pairwise(self) -> np.ndarray:
+        """The dense (n, n) point-kernel matrix; only tests read it, as an
+        oracle for neighbors."""
         return self._rbf(self.X, self.X)

@@ -100,6 +100,36 @@ def oracle_gdk(X, Y, bandwidth):
     return total / (len(X) * len(Y))
 
 
+def oracle_ik_dbscan(K, eps_sim, min_pts, k):
+    """Kernel-neighbourhood DBSCAN on the dense point-kernel matrix K: the
+    neighbours of p are the q with K[p, q] >= eps_sim, tested pair by pair.
+    Returns (the k largest clusters, noise, clusters found), as lists of rows."""
+    m = len(K)
+    neigh = [[q for q in range(m) if K[p][q] >= eps_sim] for p in range(m)]
+    is_core = [len(neigh[p]) >= min_pts for p in range(m)]
+    labels = [-1] * m
+    cid = 0
+    for i in range(m):
+        if labels[i] != -1 or not is_core[i]:
+            continue
+        queue = [i]
+        labels[i] = cid
+        while queue:
+            p = queue.pop()
+            if not is_core[p]:
+                continue
+            for q in neigh[p]:  # ascending
+                if labels[q] == -1:
+                    labels[q] = cid
+                    queue.append(q)
+        cid += 1
+    clusters = [[i for i in range(m) if labels[i] == j] for j in range(cid)]
+    order = sorted(range(cid), key=lambda j: (-len(clusters[j]), j))
+    kept = {j for j in order[:k]}
+    noise = [i for i in range(m) if labels[i] not in kept]
+    return [clusters[j] for j in order[:k]], noise, cid
+
+
 # ---------------------------------------------------------------------------
 # Dendrogram purity oracle
 # ---------------------------------------------------------------------------

@@ -232,6 +232,15 @@ class TestCluster:
         ahc = build_parser().parse_args(["cluster", "--in", "f", "--k", "6", "--algo", "ahc"])
         assert _run_config(ahc) == RunConfig(k=6, tree_method="ahc")
 
+    @pytest.mark.parametrize("flags, named", [(["--eps-sim", "0", "--min-pts", "0"], "eps_sim"),
+                                              (["--eps-sim", "0.3", "--min-pts", "0"], "min_pts")])
+    def test_ik_dbscan_degenerate_neighbourhood_exits_2(self, blob_csv, tmp_path, capsys, flags, named):
+        # eps_sim 0 made every pair a neighbour, so the subset became one cluster
+        capsys.readouterr()
+        assert main(cluster_args(blob_csv, tmp_path / "o", "--clusterer", "ik-dbscan", *flags)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named} must be")
+        assert not (tmp_path / "o" / "tree.json").exists()
+
     def test_invalid_flag_value_exits_2(self, blob_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(cluster_args(blob_csv, tmp_path / "o", "--algo", "wrong"))

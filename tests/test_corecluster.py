@@ -1,9 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernelhc import (
     CoreClusterSet,
     IdkOps,
+    datasets,
     fit_isolation_model,
     ik_dbscan_cores,
     ikernel,
@@ -15,7 +20,7 @@ from kernelhc.corecluster import _lloyd
 from kernelhc.hier import assign_points
 from kernelhc.ikernel import GdkOps
 
-from conftest import oracle_point_vector, rng_data, two_blobs
+from conftest import oracle_ik_dbscan, oracle_point_vector, rng_data, two_blobs
 
 
 def blob_ops(X, psi=4, t=60, seed=5):
@@ -396,3 +401,53 @@ class TestIkDbscan:
         cores = ik_dbscan_cores(ops, eps_sim=1.01, min_pts=2, k=2)
         assert cores.k == 0
         assert cores.warnings
+
+    @pytest.mark.parametrize("eps_sim, min_pts", [(0.0, 3), (-0.2, 3), (0.3, 0), (0.3, -1)])
+    def test_invalid_eps_or_min_pts_rejected(self, eps_sim, min_pts):
+        # eps_sim 0 would make every pair a neighbour: one cluster, from an s x s graph
+        _, ops = blob_ops(rng_data(3, n=20))
+        with pytest.raises(ValueError, match="eps_sim" if eps_sim <= 0 else "min_pts"):
+            ik_dbscan_cores(ops, eps_sim=eps_sim, min_pts=min_pts, k=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(["idk", "gdk"]),
+           n=st.integers(2, 50), min_pts=st.integers(1, 6), k=st.integers(1, 4),
+           eps_at=st.integers(0, 4))
+    def test_matches_dense_oracle(self, seed, kind, n, min_pts, k, eps_at):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 2)) * rng.uniform(0.1, 2.0)
+        X[rng.integers(n, size=n // 5)] = X[0]  # duplicates
+        if kind == "idk":
+            # t = 200 makes 0.3 an exact boundary: pairs sharing 60 cells
+            ops = IdkOps.fit(fit_isolation_model(X, psi=min(n, int(rng.integers(2, 9))), t=200, seed=seed), X)
+            grid = [0.3, 0.05, 0.5, 1.0]
+        else:
+            ops = GdkOps(X, bandwidth=float(rng.uniform(0.1, 2.0)))
+            grid = [0.3, 0.05, 0.5, 0.9]
+        K = ops.pairwise()
+        # the last choice is a kernel value itself, so that pair lies on the boundary
+        eps = grid[eps_at] if eps_at < 4 else float(K[rng.integers(n), rng.integers(n)]) or 0.3
+        cores = ik_dbscan_cores(ops, eps_sim=eps, min_pts=min_pts, k=k)
+        clusters, noise, found = oracle_ik_dbscan(K, eps, min_pts, k)
+        assert [c.tolist() for c in cores.clusters] == clusters
+        assert cores.noise.tolist() == noise
+        assert bool(cores.warnings) == (found < k)
+
+    @pytest.mark.parametrize("kind", ["idk", "gdk"])
+    def test_memory_below_a_dense_kernel_matrix(self, kind):
+        # 3,000 clustered points with a sparse eps-graph: the search holds the
+        # graph and one row block per worker, never an s x s array
+        X = datasets.paper_analog().points
+        s = len(X)
+        if kind == "idk":
+            _, ops = blob_ops(X, psi=48, t=200, seed=1)
+        else:
+            ops = GdkOps(X, bandwidth=0.2)
+        tracemalloc.start()
+        try:
+            cores = ik_dbscan_cores(ops, eps_sim=0.3, min_pts=8, k=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cores.k >= 4
+        assert peak < 8 * s * s / 4  # a quarter of one float64 s x s matrix

@@ -853,7 +853,7 @@ def test_backends_expose_the_same_queries():
         return {name for name in vars(cls) if not name.startswith("_")}
     assert public(IdkOps) - {"fit"} == public(GdkOps)
     assert {"group_state", "regroup", "point_to_state", "set_similarity", "gram", "point_row",
-            "pairwise"} <= public(GdkOps)
+            "neighbors", "pairwise"} <= public(GdkOps)
 
 
 class TestRegroup:
@@ -1037,3 +1037,38 @@ class TestGdk:
                 assert np.array_equal(ops.point_to_state(ops.group_state(np.arange(150))), expected)
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestNeighbors:
+    """neighbors(eps) is the graph pairwise() >= eps, as a boolean CSR matrix
+    with sorted rows, whatever the workers and blocks that build it."""
+
+    @staticmethod
+    def backend(kind):
+        # duplicate rows and, for the isolation kernel, one point no cell
+        # covers: its own kernel is 0, so it is not its own neighbour
+        X = np.vstack([rng_data(37, n=40), rng_data(37, n=4), [[1e6, -1e6]]])
+        if kind == "gdk":
+            ops = GdkOps(X, bandwidth=0.3)  # a kernel value itself is a boundary
+            return ops, (0.05, 0.5, 0.99, float(ops.pairwise()[3, 7]))
+        ops = IdkOps.fit(fit_isolation_model(X[:44], psi=6, t=200, seed=4), X)
+        assert ops.onehot[44].nnz == 0
+        # 0.3: pairs sharing exactly 60 of t = 200 cells, on the boundary, kept;
+        # the next float up leaves them out
+        assert (ops.pairwise() == 0.3).any()
+        return ops, (0.005, 0.3, np.nextafter(0.3, 1.0), 1.0)
+
+    @pytest.mark.parametrize("kind", ["idk", "gdk"])
+    def test_graph_is_the_thresholded_pairwise_matrix(self, monkeypatch, pool_spy, kind):
+        ops, grid = self.backend(kind)
+        K = ops.pairwise()
+        for workers in (1, 2, 8):
+            for block in (1, 64, ikernel.GDK_BLOCK):
+                monkeypatch.setattr(ikernel, "WORKERS", workers)
+                monkeypatch.setattr(ikernel, "GDK_BLOCK", block)
+                for eps in grid:
+                    graph = ops.neighbors(eps)
+                    assert graph.dtype == bool and graph.shape == K.shape
+                    assert graph.has_sorted_indices, (workers, block, eps)
+                    assert np.array_equal(graph.toarray(), K >= eps), (workers, block, eps)
+        assert set(pool_spy) == {2, 8}
