@@ -93,23 +93,28 @@ def cmd_generate(args) -> int:
 # cluster
 # ---------------------------------------------------------------------------
 
-# the RunConfig fields bisecting k-means does not read, and their flags
-_KERNEL_FLAGS = dict(psi="--psi", t="--t", tau="--tau", rho="--rho", s="--subset-size", kernel="--kernel",
-                     bandwidth="--bandwidth", clusterer="--clusterer", eps_sim="--eps-sim",
-                     min_pts="--min-pts", refine="--no-refine")
+# each RunConfig field that only some runs read: its flag, and the --algo, --kernel and
+# --clusterer values that read it (--algo bisect-kmeans runs no kernel and no clusterer)
+_PIPELINE = {"hkc", "ahc"}
+_READ_BY = dict(psi=("--psi", {"idk"}), t=("--t", {"idk"}), bandwidth=("--bandwidth", {"gdk"}),
+                tau=("--tau", {"kpskc"}), rho=("--rho", {"kpskc"}), restarts=("--restarts", {"kmeans", "bisect-kmeans"}),
+                eps_sim=("--eps-sim", {"ik-dbscan"}), min_pts=("--min-pts", {"ik-dbscan"}), s=("--subset-size", _PIPELINE),
+                kernel=("--kernel", _PIPELINE), clusterer=("--clusterer", _PIPELINE), refine=("--no-refine", _PIPELINE))
 
 
 def _run_config(args) -> hier.RunConfig:
     """The RunConfig the cluster flags set: one flag per field, except
-    tree_method, which --algo ahc sets. --algo bisect-kmeans reads only k,
-    restarts and seed, so a flag that sets another field away from its
-    default is rejected rather than ignored."""
+    tree_method, which --algo ahc sets. A flag that sets a field away from its
+    default when the run's algo, kernel and clusterer do not read it (_READ_BY)
+    is rejected rather than ignored; the first such flag is named."""
     config = hier.RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(hier.RunConfig)})
     default = hier.RunConfig(k=config.k)
-    ignored = [flag for name, flag in _KERNEL_FLAGS.items() if getattr(config, name) != getattr(default, name)]
-    if args.algo == "bisect-kmeans" and ignored:
-        raise ValueError(f"{ignored[0]} does not apply to --algo bisect-kmeans, "
-                         "which reads only --k, --restarts and --seed")
+    run = {"--algo": args.algo} if args.algo == "bisect-kmeans" else {
+        "--algo": args.algo, "--kernel": config.kernel, "--clusterer": config.clusterer}
+    ignored = [flag for name, (flag, readers) in _READ_BY.items()
+               if getattr(config, name) != getattr(default, name) and not readers & set(run.values())]
+    if ignored:
+        raise ValueError(f"{ignored[0]} does not apply to {' '.join(map(' '.join, run.items()))}")
     return dataclasses.replace(config, tree_method="ahc") if args.algo == "ahc" else config
 
 
@@ -124,6 +129,7 @@ def _load_input(path, label_col):
 
 
 def cmd_cluster(args) -> int:
+    config = _run_config(args)
     ds = _load_input(args.infile, args.label_col)
     out = _out_dir(args)
     warnings = []
@@ -131,7 +137,6 @@ def cmd_cluster(args) -> int:
     metric_values = {}
     outputs = {}
 
-    config = _run_config(args)
     t0 = time.perf_counter()
     if args.algo == "bisect-kmeans":
         tree = baseline.bisect_kmeans(ds.points, config)

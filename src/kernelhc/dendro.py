@@ -4,11 +4,11 @@ A tree node holds a set of core-cluster IDs; after finalization each leaf
 additionally holds the full-dataset point indices that ended up in its
 clusters. The quality objective is the total similarity of all clusters:
 the sum over leaves of each member point's similarity to its own leaf's
-distribution. Contracting two sibling leaves merges them into their parent
-and can only lower that objective by at most the distance between the two
-leaf embeddings, which is what the bound checks in the test suite verify.
-Both need only the k x k Gram K(P_a, P_b) of the leaves (``ops.gram``),
-as does agglomeration over core clusters.
+distribution. Contracting sibling leaves of m1 and m2 points lowers it, per
+point, by exactly m1 m2 / ((m1 + m2) n) times their embeddings' squared
+distance (Ward's merge cost in feature space), so by at most that distance:
+the test suite checks both. Both need only the k x k Gram K(P_a, P_b) of
+the leaves (``ops.gram``), as does agglomeration over core clusters.
 
 Trees remember the order their internal nodes were created in; replaying
 that order backwards yields the canonical contraction sequence used by the

@@ -32,6 +32,7 @@ from .ikernel import (
 CLUSTERERS = ("kpskc", "kmeans", "ik-dbscan")
 KERNELS = ("idk", "gdk")
 TREE_METHODS = ("divisive", "ahc")
+REFINE_PASSES = 100  # most passes of refine
 
 
 @dataclass
@@ -148,11 +149,10 @@ def assign_points(ops, cores: corecluster.CoreClusterSet):
     return labels.astype(np.int64), orphans
 
 
-def refine(ops, cores: corecluster.CoreClusterSet, labels: np.ndarray,
-           max_iter: int = 100):
+def refine(ops, cores: corecluster.CoreClusterSet, labels: np.ndarray):
     """Iteratively recompute cluster distributions and reassign all points.
 
-    Stops after ``max_iter`` passes or as soon as fewer points moved than
+    Stops after ``REFINE_PASSES`` passes or as soon as fewer points moved than
     one percent of the dataset (or none at all). A cluster that loses all
     members keeps its previous distribution so the leaf count stays fixed.
     """
@@ -165,7 +165,7 @@ def refine(ops, cores: corecluster.CoreClusterSet, labels: np.ndarray,
     states = [ops.group_state(cores.full_rows(j)) for j in range(k)]
     labels = np.asarray(labels, dtype=np.int64)
     iterations = 0
-    while iterations < max_iter:
+    while iterations < REFINE_PASSES:
         changed = int((labels != prev).sum())
         if changed < delta:
             break

@@ -56,8 +56,15 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
     return data
 
 
-# Most float64 scores and gathered weights the screen holds at once, on all threads.
-SCREEN_BLOCK = 1 << 19
+# Most float64 values one pooled task holds at once (2 MiB), so pooled buffers scale as
+# WORKERS x BLOCK: the transform's scores and gathered weights, and a row block of
+# kernel values (_row_blocks); IdkOps.fit compresses Phi's cells BLOCK at a time. Wall
+# ms per point_to_state of 2,129 2-d points against all of them, median of 7x10 calls,
+# ranges over 3 runs:
+#   block      2^14   2^16   2^17   2^18   2^19   2^20
+#   1 worker   27-32  25-28         29-30         31-35
+#   2 workers  68-84  24-30  22-23  20-25  22-24  30-31
+BLOCK = 1 << 18
 # Most rows per leaf of the transform (_leaves). Wall ms per transform of the seed-1
 # perfbench inputs (psi 48, t 200), median of 15 alternating calls in one process,
 # BLAS on one thread (as perfbench pins it), ranges over 2 runs on 2 vCPUs; the
@@ -70,8 +77,6 @@ SCREEN_BLOCK = 1 << 19
 #   analog-24k  1 w    271-276    243-246    261-279    333-335
 #   blobs-64d   1 w    159-210    145-196    140-177    206-242
 SCAN_LEAF = 256
-# Most cells per row block of IdkOps.fit's Phi build.
-SCAN_BLOCK = 1 << 18
 # Threads for the GEMM screen, its rescans, the Gaussian row means and the
 # neighbour graphs (cdist, BLAS, NumPy's ufuncs and reductions and scipy's sparse
 # products release the GIL): every CPU this process may run on.
@@ -93,14 +98,17 @@ def _scan_cells(X: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.nda
     return np.where(covered, nearest, -1)
 
 
-def _run_tasks(task, items) -> list:
-    """[task(item) for item in items] on up to WORKERS threads; inline, with
-    no pool, when there is one item or one worker."""
-    items = list(items)
-    if min(WORKERS, len(items)) < 2:
-        return list(map(task, items))
-    with ThreadPoolExecutor(min(WORKERS, len(items))) as pool:
-        return list(pool.map(task, items))
+def _deal(work, items, make=None) -> list:
+    """[work(items[f::tasks], make()) for each task f], items dealt round-robin to
+    tasks = min(WORKERS, len(items)), one thread each; inline, with no pool, when
+    there is one task. Every task's buffers (make(), or None without make) are made
+    here, on the calling thread: a worker's freed ones would stay in its malloc arena."""
+    tasks = min(WORKERS, len(items))
+    shares = [(items[f::tasks], make and make()) for f in range(tasks)]
+    if tasks < 2:
+        return [work(*share) for share in shares]
+    with ThreadPoolExecutor(tasks) as pool:
+        return list(pool.map(lambda share: work(*share), shares))
 
 
 def _leaves(X: np.ndarray) -> list:
@@ -263,8 +271,8 @@ class IsolationModel:
         error (a byte mask of the scores near the best) and leaves the rest to
         a rescan of all psi centers. The cells are the full ``cdist`` scan's,
         bit for bit (comments above _screen_cells). Leaves and rescans run on
-        up to WORKERS threads, in tasks that write only their own cells; a cell
-        depends on its row alone, so none of WORKERS, SCAN_LEAF, SCREEN_BLOCK
+        up to WORKERS threads (_deal), in tasks that write only their own cells;
+        a cell depends on its row alone, so none of WORKERS, SCAN_LEAF, BLOCK
         or the leaves changes it. A task selects
         the centers for a batch of its leaves at once, in whole-batch array
         passes (one GEMM for every leaf's midpoint, one sort of every kept
@@ -283,13 +291,11 @@ class IsolationModel:
         leaves = _leaves(X)
         flat = self.centers.reshape(-1, d)
         grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
-        tasks = min(WORKERS, len(leaves))
-        block = SCREEN_BLOCK // tasks
 
         # partitionings per call of k centers each, w floats of gathered weights per
         # center: the screen scores a leaf's rows at once, reading each weight once
         def width(k, w):
-            return max(1, block // (k * (SCAN_LEAF + w)))
+            return max(1, BLOCK // (k * (SCAN_LEAF + w)))
         # scores ||c||^2 - 2 x.c from one GEMM of [-2c, ||c||^2] and [x, 1]: one table row
         # per center, in tiles of width(psi, 0) partitionings that a leaf keeping every
         # center scores as they are: center 0 of each, then 1, ...
@@ -304,11 +310,10 @@ class IsolationModel:
 
         # leaves per batch: a batch's rows with their differences from p, and later its
         # p-to-center squares with their GEMM output, each fit in the task's block
-        batch = max(1, block // (2 * (t * psi + SCAN_LEAF * d)))
+        batch = max(1, BLOCK // (2 * (t * psi + SCAN_LEAF * d)))
 
-        def scan(task):  # the leaves first, first + tasks, ..., a batch at a time
-            first, buf, mask, rows1, keep, cells = task
-            mine = leaves[first::tasks]
+        def scan(mine, bufs):  # a task's leaves, a batch at a time
+            buf, mask, rows1, keep, cells = bufs
             for group in (mine[i:i + batch] for i in range(0, len(mine), batch)):
                 m, start = len(group), np.cumsum([0] + [len(rows) for rows in group])
                 nb = start[-1]
@@ -349,18 +354,17 @@ class IsolationModel:
                             cells[:len(rows), pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp],
                                                                   mask).T
                     out[rows] = cells[:len(rows)]
-        # buffers made on this thread: a worker's freed ones stay in its malloc arena; a
-        # call of one partitioning, and a batch of one leaf, fit at least; a call's
+        # a call of one partitioning, and a batch of one leaf, fit at least; a call's
         # scores fit in size floats, so their mask in size bytes
-        size = max(block, psi * (SCAN_LEAF + d + 1), 2 * (t * psi + SCAN_LEAF * d))
-        _run_tasks(scan, [(first, np.empty(size), np.empty(size, np.uint8), np.ones((SCAN_LEAF, d + 1)),
-                           np.empty((batch, t, psi), np.int32), np.empty((SCAN_LEAF, t), np.int32))
-                          for first in range(tasks)])
+        size = max(BLOCK, psi * (SCAN_LEAF + d + 1), 2 * (t * psi + SCAN_LEAF * d))
+        _deal(scan, leaves, lambda: (np.empty(size), np.empty(size, np.uint8), np.ones((SCAN_LEAF, d + 1)),
+                                     np.empty((batch, t, psi), np.int32), np.empty((SCAN_LEAF, t), np.int32)))
 
-        def rescan(i):  # the pairs the screen marked -2
-            rows = np.flatnonzero(out[:, i] == -2)
-            out[rows, i] = _scan_cells(X[rows], self.centers[i], self.radii[i])
-        _run_tasks(rescan, np.flatnonzero((out == -2).any(axis=0)))
+        def rescan(mine, _):  # the pairs the screen marked -2, per partitioning
+            for i in mine:
+                rows = np.flatnonzero(out[:, i] == -2)
+                out[rows, i] = _scan_cells(X[rows], self.centers[i], self.radii[i])
+        _deal(rescan, np.flatnonzero((out == -2).any(axis=0)))
         return out
 
     def save(self, path) -> None:
@@ -427,40 +431,30 @@ def fit_isolation_model(data: np.ndarray, psi: int, t: int, seed: int) -> Isolat
     return IsolationModel(centers=centers, radii=radii, psi=psi, t=t, seed=seed)
 
 
-def median_heuristic_bandwidth(X: np.ndarray, max_points: int = 1000, seed: int = 0) -> float:
-    """Median pairwise distance, on a seeded subsample for large inputs."""
+MEDIAN_POINTS = 1000  # most points median_heuristic_bandwidth compares
+
+
+def median_heuristic_bandwidth(X: np.ndarray, seed: int = 0) -> float:
+    """Median pairwise distance, on a seeded subsample of MEDIAN_POINTS for large inputs."""
     X = _check_matrix(X, "X")
-    if X.shape[0] > max_points:
+    if X.shape[0] > MEDIAN_POINTS:
         rng = np.random.default_rng(seed)
-        X = X[rng.choice(X.shape[0], size=max_points, replace=False)]
+        X = X[rng.choice(X.shape[0], size=MEDIAN_POINTS, replace=False)]
     if X.shape[0] < 2:
         return 1.0
     med = float(np.median(pdist(X)))
     return med if med > 0 else 1.0
 
 
-# Most float64 kernel values one task of _row_blocks holds (2 MiB). Wall ms per point_to_state
-# of 2,129 2-d points against all of them, median of 7x10 calls, ranges over 3 runs:
-#   block      2^14   2^16   2^17   2^18   2^19   2^20
-#   1 worker   27-32  25-28         29-30         31-35
-#   2 workers  68-84  24-30  22-23  20-25  22-24  30-31
-GDK_BLOCK = 1 << 18
-
-
 def _row_blocks(rows: int, width: int, block, buf=None) -> list:
-    """[block(lo, hi, b) for each row block [lo, hi) of at most GDK_BLOCK values,
-    width per row], in block order, dealt to WORKERS threads: task f takes blocks
-    f, f + tasks, ... b is the task's buf(rows per block), or None without buf."""
-    step = max(1, GDK_BLOCK // max(width, 1))
-    count = -(-rows // step)
-    tasks = min(WORKERS, count)
-
-    def blocks(task):
-        first, b = task
-        return [block(lo, min(lo + step, rows), b) for lo in range(first * step, rows, tasks * step)]
-    # buffers made on this thread: a worker's freed ones stay in its malloc arena
-    done = _run_tasks(blocks, [(first, buf(min(step, rows)) if buf else None) for first in range(tasks)])
-    return [done[i % tasks][i // tasks] for i in range(count)]
+    """[block(lo, hi, b) for each row block [lo, hi) of at most BLOCK values,
+    width per row], in block order, the blocks dealt to tasks (_deal); b is the
+    task's buf(rows per block), or None without buf."""
+    step = max(1, BLOCK // max(width, 1))
+    starts = range(0, rows, step)
+    done = _deal(lambda mine, b: [block(lo, min(lo + step, rows), b) for lo in mine], starts,
+                 buf and (lambda: buf(min(step, rows))))
+    return [done[i % len(done)][i // len(done)] for i in range(len(starts))]
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +500,9 @@ class IdkOps:
         cells += np.arange(t, dtype=np.int32) * model.psi
         # compress on flat views beats the boolean mask's gather about 3x at
         # n = 24,000, t = 200, but indexes what it keeps with int64: in row blocks
-        # of SCAN_BLOCK cells that index stays small instead of twice the output
+        # of BLOCK cells that index stays small instead of twice the output
         indices = np.empty(indptr[-1], dtype=np.int32)
-        step = max(1, SCAN_BLOCK // t)
+        step = max(1, BLOCK // t)
         for lo in range(0, n, step):
             hi = min(lo + step, n)
             np.compress(covered[lo:hi].ravel(), cells[lo:hi].ravel(),

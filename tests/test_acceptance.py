@@ -238,6 +238,31 @@ def test_criterion_4_contraction_bound(small_runs, small_gdk_runs, analog_run):
           f"over {len(cases)} runs (both kernels), min slack {slack:.3e} >= -1e-9")
 
 
+def test_criterion_4_exact_merge_identity(small_runs, small_gdk_runs, analog_run):
+    # each contraction lowers tsc_local by exactly m1 m2 / ((m1 + m2) n) alpha^2,
+    # m1 and m2 the point counts of the merged subtrees: Ward's merge cost in the
+    # kernel's feature space, 0 when one side is empty
+    checked, worst = 0, 0.0
+    cases = [res for _, res in small_runs + small_gdk_runs] + [analog_run]
+    for res in cases:
+        tree, n = res.tree, res.tree.n_points
+
+        def points(nid):
+            ids = set(tree.nodes[nid].cluster_ids)
+            return sum(len(leaf.points) for leaf in tree.leaves() if ids.issuperset(leaf.cluster_ids))
+        for step in contraction_trace(tree, res.ops):
+            node = tree.nodes[step.node_id]
+            m1, m2 = points(node.left), points(node.right)
+            expected = m1 * m2 / ((m1 + m2) * n) * step.alpha ** 2 if m1 and m2 else 0.0
+            error = abs(step.tsc_local_before - step.tsc_local_after - expected) / (expected or step.tsc_local_before)
+            assert error <= 1e-12, (step, m1, m2)
+            worst = max(worst, error)
+            checked += 1
+    assert len(cases) >= 28
+    print(f"\n[PASS] criterion 4: exact merge identity on {checked} contractions over "
+          f"{len(cases)} runs (both kernels), worst relative error {worst:.1e} <= 1e-12")
+
+
 def test_criterion_5_windowed_objective_bound(small_runs, small_gdk_runs, analog, analog_run):
     checked = 0
     cases = [res for _, res in small_runs + small_gdk_runs] + [analog_run]

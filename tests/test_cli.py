@@ -147,6 +147,20 @@ class TestCluster:
         assert capsys.readouterr().err.startswith(f"error: {named} does not apply")
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--kernel", "gdk", "--psi", "48"], "--psi"), (["--kernel", "gdk", "--t", "50"], "--t"),
+        (["--bandwidth", "0.5"], "--bandwidth"),
+        (["--clusterer", "kmeans", "--tau", "0.5"], "--tau"), (["--clusterer", "kmeans", "--rho", "0.5"], "--rho"),
+        (["--eps-sim", "0.9"], "--eps-sim"), (["--min-pts", "50"], "--min-pts"), (["--restarts", "3"], "--restarts"),
+        (["--algo", "ahc", "--clusterer", "ik-dbscan", "--restarts", "3"], "--restarts")])
+    def test_pipeline_ignored_flag_exits_2(self, blob_csv, tmp_path, capsys, flags, named):
+        # a flag that sets a field the run's kernel or clusterer does not read
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["cluster", "--in", str(blob_csv), "--k", "2", "--out-dir", str(out), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named} does not apply")
+        assert not out.exists()
+
     def test_bisect_kmeans_accepts_kernel_flags_at_their_defaults(self, blob_csv, tmp_path):
         defaults = RunConfig(k=2)
         out = tmp_path / "bkm"
@@ -157,8 +171,9 @@ class TestCluster:
         out = tmp_path / "ahc"
         assert main(cluster_args(blob_csv, out, "--algo", "ahc")) == 0
         out2 = tmp_path / "gdk"
-        assert main(cluster_args(blob_csv, out2, "--kernel", "gdk",
-                                 "--bandwidth", "1.0")) == 0
+        args = cluster_args(blob_csv, out2, "--kernel", "gdk", "--bandwidth", "1.0")
+        del args[args.index("--psi"):args.index("--tau")]  # the Gaussian kernel reads neither --psi nor --t
+        assert main(args) == 0
         manifest = json.loads((out2 / "manifest.json").read_text())
         assert manifest["config"]["kernel"] == "gdk"
         assert not (out2 / "model.npz").exists()
@@ -220,14 +235,16 @@ class TestCluster:
         assert _run_config(args) == RunConfig(k=6)
 
     def test_every_run_config_field_but_tree_method_has_a_flag(self):
-        flags = ["--k", "3", "--psi", "7", "--t", "9", "--tau", "0.2", "--rho", "0.3",
-                 "--subset-size", "11", "--seed", "4", "--clusterer", "kmeans", "--no-refine",
-                 "--kernel", "gdk", "--bandwidth", "2.5", "--eps-sim", "0.4", "--min-pts", "6",
-                 "--restarts", "3"]
-        config = _run_config(build_parser().parse_args(["cluster", "--in", "f", *flags]))
-        default = RunConfig(k=6)
-        changed = {f.name for f in dataclasses.fields(RunConfig)
-                   if getattr(config, f.name) != getattr(default, f.name)}
+        # each kernel or clusterer flag on a run that reads it
+        runs = [["--k", "3", "--psi", "7", "--t", "9", "--tau", "0.2", "--rho", "0.3",
+                 "--subset-size", "11", "--seed", "4", "--no-refine"],
+                ["--k", "3", "--kernel", "gdk", "--bandwidth", "2.5", "--clusterer", "kmeans", "--restarts", "3"],
+                ["--k", "3", "--clusterer", "ik-dbscan", "--eps-sim", "0.4", "--min-pts", "6"]]
+        default, changed = RunConfig(k=6), set()
+        for flags in runs:
+            config = _run_config(build_parser().parse_args(["cluster", "--in", "f", *flags]))
+            changed |= {f.name for f in dataclasses.fields(RunConfig)
+                        if getattr(config, f.name) != getattr(default, f.name)}
         assert changed == {f.name for f in dataclasses.fields(RunConfig)} - {"tree_method"}
         ahc = build_parser().parse_args(["cluster", "--in", "f", "--k", "6", "--algo", "ahc"])
         assert _run_config(ahc) == RunConfig(k=6, tree_method="ahc")

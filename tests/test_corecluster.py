@@ -260,14 +260,14 @@ class TestKpskcSavedWork:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_gdk_collapsed(self, monkeypatch, workers):
         monkeypatch.setattr(ikernel, "WORKERS", workers)
-        monkeypatch.setattr(ikernel, "GDK_BLOCK", 8 * 60)  # several row blocks
+        monkeypatch.setattr(ikernel, "BLOCK", 8 * 60)  # several row blocks
         cores, rounds = assert_matches_full_rescore(collapsed_gdk(), 3, tau=0.01, rho=0.1)
         assert cores.k == 1 and cores.noise.size == 0 and rounds == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_gdk_several_clusters(self, monkeypatch, workers):
         monkeypatch.setattr(ikernel, "WORKERS", workers)
-        monkeypatch.setattr(ikernel, "GDK_BLOCK", 8 * 60)
+        monkeypatch.setattr(ikernel, "BLOCK", 8 * 60)
         ops = GdkOps(rng_data(8, n=60, spread=4.0), bandwidth=0.3)
         cores, rounds = assert_matches_full_rescore(ops, 4, tau=0.01, rho=0.1)
         assert cores.k == 4 and rounds == 4

@@ -6,10 +6,12 @@ import pytest
 from kernelhc import (
     Dendrogram,
     IdkOps,
+    RunConfig,
     ahc_build,
     dendrogram_purity,
     fit_isolation_model,
     kpskc,
+    run,
     topology_equal,
     tsc,
     tsc_global_p,
@@ -152,6 +154,18 @@ class TestTsc:
         tree = Dendrogram.seed([0]).finalize(np.zeros(9, dtype=int))
         assert tsc_local(tree, ops) == pytest.approx(
             oracle_mean_pairwise(model, X, X), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tsc_is_norms_less_kernel_kmeans_sse(self, seed):
+        # TSC = sum_i |phi_i|^2 - sum_S sum_{i in S} |phi_i - mu_S|^2 on an explicit
+        # dense Phi: at a fixed k, maximizing TSC is minimizing kernel k-means SSE
+        X = np.vstack([rng_data(seed + i, n=60) + 3 * i for i in range(3)])
+        res = run(X, RunConfig(k=3, psi=8, t=50, s=120, seed=seed))
+        phi = res.ops.onehot.toarray() / np.sqrt(res.ops.t)
+        sse = sum(((phi[leaf.points] - phi[leaf.points].mean(axis=0)) ** 2).sum()
+                  for leaf in res.tree.leaves() if len(leaf.points))
+        assert res.k == 3
+        assert tsc(res.tree, res.ops) == pytest.approx((phi ** 2).sum() - sse, rel=1e-12, abs=0)
 
     def test_rows_must_match_the_tree(self):
         X = rng_data(4, n=12)

@@ -8,6 +8,7 @@ from kernelhc import (
     datasets,
     dendrogram_purity,
     fit_isolation_model,
+    hier,
     kpskc,
     run,
     select_subset,
@@ -197,13 +198,16 @@ class TestRefine:
         new_total = scores[np.arange(50), new_labels].sum()
         assert new_total >= old_total - 1e-12
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         X, _ = two_blobs(seed=31, n_per=20)
         _, ops = fitted_ops(X)
         cores = cores_from_lists([range(20), range(20, 40)], 40)
         labels, _ = assign_points(ops, cores)
-        _, iterations = refine(ops, cores, labels, max_iter=100)
-        assert iterations <= 100
+        _, iterations = refine(ops, cores, labels)
+        assert iterations <= hier.REFINE_PASSES == 100
+        monkeypatch.setattr(hier, "REFINE_PASSES", 0)
+        capped, iterations = refine(ops, cores, labels)
+        assert iterations == 0 and np.array_equal(capped, labels)
 
 
 class TestRun:

@@ -302,8 +302,8 @@ class TestIdkFeatures:
         X = rng_data(47, n=12)
         expected = oracle_cells(small_model, X)
         assert np.array_equal(small_model.transform(X), expected)
-        for block in (5 * small_model.t, ikernel.SCAN_BLOCK):  # Phi in 3 row blocks or 1
-            monkeypatch.setattr(ikernel, "SCAN_BLOCK", block)
+        for block in (5 * small_model.t, ikernel.BLOCK):  # Phi in 3 row blocks or 1
+            monkeypatch.setattr(ikernel, "BLOCK", block)
             ops = IdkOps.fit(small_model, X)
             cells = np.full_like(expected, -1)
             for i in range(12):
@@ -396,7 +396,7 @@ def transform_cases(draw):
     model = fit_isolation_model(X * scale, psi=psi, t=draw(st.integers(1, 6)), seed=seed)
     queries = np.vstack([X * scale, model.centers.reshape(-1, d), edge_points(model)])
     leaf = draw(st.sampled_from([1, 2, 5, ikernel.SCAN_LEAF]))
-    block = draw(st.sampled_from([1, 7 * model.t, ikernel.SCREEN_BLOCK]))
+    block = draw(st.sampled_from([1, 7 * model.t, ikernel.BLOCK]))
     return model, queries, kind, scale, leaf, block
 
 
@@ -412,7 +412,7 @@ class TestScreen:
         screen = ikernel._screen_cells
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ikernel, "SCAN_LEAF", leaf)
-            mp.setattr(ikernel, "SCREEN_BLOCK", block)
+            mp.setattr(ikernel, "BLOCK", block)
             mp.setattr(ikernel, "_screen_cells",  # counts the scores of every GEMM
                        lambda scores, *rest: scored.append(scores.size) or screen(scores, *rest))
             cells = model.transform(X)
@@ -448,7 +448,7 @@ class TestScreen:
         model = fit_isolation_model(X, psi=8, t=12, seed=1)
         expected = full_scan(model, X)
         for block in (3 * 8 * 12, 5):
-            monkeypatch.setattr(ikernel, "SCREEN_BLOCK", block)
+            monkeypatch.setattr(ikernel, "BLOCK", block)
             assert np.array_equal(model.transform(X), expected)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-162])
@@ -623,10 +623,10 @@ def batch_inputs(d):
     return fit_isolation_model(X, psi=12, t=9, seed=d), X
 
 
-def batch_block(model, leaf, leaves, tasks=1):
-    """The SCREEN_BLOCK at which each of transform's tasks selects centers
-    for batches of the given number of leaves of at most leaf rows."""
-    return tasks * leaves * 2 * (model.t * model.psi + leaf * model.centers.shape[2])
+def batch_block(model, leaf, leaves):
+    """The BLOCK at which each of transform's tasks selects centers for
+    batches of the given number of leaves of at most leaf rows."""
+    return leaves * 2 * (model.t * model.psi + leaf * model.centers.shape[2])
 
 
 @pytest.fixture
@@ -647,7 +647,7 @@ class TestBatches:
         model, X = batch_inputs(d)
         monkeypatch.setattr(ikernel, "WORKERS", workers)
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 8)
-        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", batch_block(model, 8, 3, workers))
+        monkeypatch.setattr(ikernel, "BLOCK", batch_block(model, 8, 3))
         assert np.array_equal(model.transform(X), full_scan(model, X))
         assert max(batches) == 3 and batches.count(3) >= 3 * workers and sum(batches) >= len(X) // 8
 
@@ -655,7 +655,7 @@ class TestBatches:
     def test_batch_of_one_leaf(self, monkeypatch, batches, d):
         model, X = batch_inputs(d)
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 8)
-        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", batch_block(model, 8, 1, ikernel.WORKERS))
+        monkeypatch.setattr(ikernel, "BLOCK", batch_block(model, 8, 1))
         assert np.array_equal(model.transform(X), full_scan(model, X))
         assert set(batches) == {1} and len(batches) >= len(X) // 8
 
@@ -683,8 +683,7 @@ class TestBatches:
         model, X = batch_inputs(d)
         X = np.vstack([X + shift for shift in np.linspace(0, 1, 20)])
         if leaves:
-            monkeypatch.setattr(ikernel, "SCREEN_BLOCK",
-                                batch_block(model, ikernel.SCAN_LEAF, leaves, ikernel.WORKERS))
+            monkeypatch.setattr(ikernel, "BLOCK", batch_block(model, ikernel.SCAN_LEAF, leaves))
         assert np.array_equal(model.transform(X), full_scan(model, X))
         assert sum(batches) >= len(X) // ikernel.SCAN_LEAF and max(batches) == (leaves or max(batches))
 
@@ -718,7 +717,7 @@ def pool_spy(monkeypatch):
 
 
 class TestWorkers:
-    """transform's cells do not depend on WORKERS, SCAN_LEAF or SCREEN_BLOCK."""
+    """transform's cells do not depend on WORKERS, SCAN_LEAF or BLOCK."""
 
     @pytest.mark.parametrize("d", [2, 16, 64])
     def test_cells_independent_of_workers_and_block(self, monkeypatch, pool_spy, d):
@@ -728,11 +727,11 @@ class TestWorkers:
         for workers in (1, 2, 4):
             # leaves of at most 3 rows or one leaf; one partitioning and one row
             # per call, 3 rows of scores per call, or the default block
-            for leaf, block in ((3, 5), (3, ikernel.SCREEN_BLOCK), (ikernel.SCAN_LEAF, 3 * model.psi),
-                                (ikernel.SCAN_LEAF, ikernel.SCREEN_BLOCK)):
+            for leaf, block in ((3, 5), (3, ikernel.BLOCK), (ikernel.SCAN_LEAF, 3 * model.psi),
+                                (ikernel.SCAN_LEAF, ikernel.BLOCK)):
                 monkeypatch.setattr(ikernel, "WORKERS", workers)
                 monkeypatch.setattr(ikernel, "SCAN_LEAF", leaf)
-                monkeypatch.setattr(ikernel, "SCREEN_BLOCK", block)
+                monkeypatch.setattr(ikernel, "BLOCK", block)
                 for name, X in queries.items():
                     pool_spy.clear()
                     cells = model.transform(X)
@@ -777,7 +776,7 @@ class TestWorkers:
         X = queries["gaussian"]
         expected = model.transform(X)
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 1)
-        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", 1)
+        monkeypatch.setattr(ikernel, "BLOCK", 1)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -794,7 +793,7 @@ class TestWorkers:
         model, queries = worker_inputs(3)
         expected = {name: oracle_cells(model, X) for name, X in queries.items()}
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 3)
-        monkeypatch.setattr(ikernel, "SCREEN_BLOCK", 8 * 2 * model.psi * 3)
+        monkeypatch.setattr(ikernel, "BLOCK", 2 * model.psi * 3)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -981,7 +980,7 @@ class TestGdk:
     def test_gdk_ops_blocked_queries_match_oracle(self, monkeypatch, group):
         # 64 kernel values per block: 6 rows per block against a group of
         # 10, and a group of 100 larger than a whole block
-        monkeypatch.setattr(ikernel, "GDK_BLOCK", 64)
+        monkeypatch.setattr(ikernel, "BLOCK", 64)
         X = rng_data(19, n=120)
         ops = GdkOps(X, bandwidth=0.5)
         rows = np.arange(group)
@@ -1005,9 +1004,9 @@ class TestGdk:
             expected = unblocked_row_means(X, X[rows], h)
             expected_set = float(unblocked_row_means(X[rows], X[rows], h).mean())
             for workers in (1, 2):
-                for block in (1, 64, ikernel.GDK_BLOCK):
+                for block in (1, 64, ikernel.BLOCK):
                     monkeypatch.setattr(ikernel, "WORKERS", workers)
-                    monkeypatch.setattr(ikernel, "GDK_BLOCK", block)
+                    monkeypatch.setattr(ikernel, "BLOCK", block)
                     got = ops.point_to_state(ops.group_state(rows))
                     assert np.array_equal(got, expected), (name, workers, block)
                     assert ops.set_similarity(rows, rows) == expected_set, (name, workers, block)
@@ -1018,7 +1017,7 @@ class TestGdk:
         monkeypatch.setattr(ikernel, "WORKERS", 2)
         ops.point_to_state(ops.group_state(np.arange(120)))  # 14,400 values, one block
         assert pool_spy == []
-        monkeypatch.setattr(ikernel, "GDK_BLOCK", 50 * 120)
+        monkeypatch.setattr(ikernel, "BLOCK", 50 * 120)
         ops.point_to_state(ops.group_state(np.arange(120)))  # three blocks
         assert pool_spy == [2]
 
@@ -1028,7 +1027,7 @@ class TestGdk:
         X = rng_data(31, n=150)
         ops = GdkOps(X, bandwidth=0.4)
         expected = unblocked_row_means(X, X, 0.4)
-        monkeypatch.setattr(ikernel, "GDK_BLOCK", 1)
+        monkeypatch.setattr(ikernel, "BLOCK", 1)
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1063,9 +1062,9 @@ class TestNeighbors:
         ops, grid = self.backend(kind)
         K = ops.pairwise()
         for workers in (1, 2, 8):
-            for block in (1, 64, ikernel.GDK_BLOCK):
+            for block in (1, 64, ikernel.BLOCK):
                 monkeypatch.setattr(ikernel, "WORKERS", workers)
-                monkeypatch.setattr(ikernel, "GDK_BLOCK", block)
+                monkeypatch.setattr(ikernel, "BLOCK", block)
                 for eps in grid:
                     graph = ops.neighbors(eps)
                     assert graph.dtype == bool and graph.shape == K.shape

@@ -68,7 +68,7 @@ def test_traced_parallel_gdk_counts_one_call(tracer, monkeypatch):
     ops = ikernel.GdkOps(X, bandwidth=0.5)
     state = ops.group_state(np.arange(0, 100, 2))
     monkeypatch.setattr(ikernel, "WORKERS", 2)
-    monkeypatch.setattr(ikernel, "GDK_BLOCK", 8 * len(state))  # 13 blocks
+    monkeypatch.setattr(ikernel, "BLOCK", 8 * len(state))  # 13 blocks
     untraced = ops.point_to_state(state)
     tr = tracer.Tracer()
     with tr.installed():
