@@ -157,7 +157,9 @@ def cmd_cluster(args) -> int:
         dendro.annotate_alphas(tree, result.ops)
         if isinstance(result.ops, IdkOps):
             extra["transform_workers"] = ikernel.WORKERS
-            extra["kernel_coverage"] = result.ops.onehot.nnz / (result.ops.n * result.ops.t)
+            phi = result.ops.onehot
+            extra["kernel_coverage"] = phi.nnz / (result.ops.n * result.ops.t)
+            extra["phi_bytes"] = phi.data.nbytes + phi.indices.nbytes + phi.indptr.nbytes
         if config.clusterer == "kpskc":
             meta = result.cores.meta
             extra["kpskc"] = {"growth_steps": [len(g) for g in meta["gamma_traces"]],
@@ -264,7 +266,12 @@ def fit_linear_vs_quadratic(ns, ts):
     return sses[0], sses[1]
 
 
-def prefers_linear(ns, ts) -> bool:
+def prefers_linear(ns, ts) -> bool | None:
+    """Whether the linear fit explains the timings at least as well as the
+    quadratic one; None with fewer than 3 distinct sizes, where both lines pass
+    through every point and their residuals are rounding error."""
+    if len(set(ns)) < 3:
+        return None
     sse_lin, sse_quad = fit_linear_vs_quadratic(ns, ts)
     return sse_lin <= sse_quad
 
@@ -341,8 +348,10 @@ def cmd_bench(args) -> int:
     print(f"{'n':>8} {'hkc_s':>10} {'bisect_s':>10}")
     for r in rows:
         print(f"{r['n']:>8} {r['hkc_seconds']:>10.3f} {r['bisect_seconds']:>10.3f}")
-    print(f"hkc prefers linear fit: {summary['hkc_prefers_linear']}")
-    print(f"bisect prefers linear fit: {summary['bisect_prefers_linear']}")
+    for algo in ("hkc", "bisect"):
+        verdict = summary[f"{algo}_prefers_linear"]
+        print(f"{algo} prefers linear fit: " + (f"null, a verdict needs >= 3 sizes, got {len(set(ns))}"
+                                                if verdict is None else str(verdict)))
     print(f"results in {csv_path}")
     return 0
 

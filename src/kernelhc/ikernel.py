@@ -58,7 +58,8 @@ def _check_matrix(data: np.ndarray, name: str = "data") -> np.ndarray:
 
 # Most float64 values one pooled task holds at once (2 MiB), so pooled buffers scale as
 # WORKERS x BLOCK: the transform's scores and gathered weights, and a row block of
-# kernel values (_row_blocks); IdkOps.fit compresses Phi's cells BLOCK at a time. Wall
+# kernel values (_row_blocks); IdkOps.fit compacts the transform's table into Phi's
+# column indices in place BLOCK cells at a time (_pack_cells). Wall
 # ms per point_to_state of 2,129 2-d points against all of them, median of 7x10 calls,
 # ranges over 3 runs:
 #   block      2^14   2^16   2^17   2^18   2^19   2^20
@@ -457,6 +458,36 @@ def _row_blocks(rows: int, width: int, block, buf=None) -> list:
     return [done[i % len(done)][i // len(done)] for i in range(len(starts))]
 
 
+def _phi_dtype(n: int, t: int) -> type:
+    """Entry type of IdkOps.onehot for n rows and t partitionings: a product of it
+    sums at most t m <= t n ones per row for a group of m rows. scipy upcasts
+    narrower entries to the other operand's type, copying onehot on every call."""
+    return np.int32 if n * t < 2**31 else np.int64
+
+
+def _pack_cells(cells: np.ndarray, psi: int) -> np.ndarray:
+    """Turn the transform's (n, t) table into IdkOps.onehot's column indices in
+    place, and return its indptr: the first indptr[-1] flat cells become each
+    row's covered cells j psi + c, in ascending partitioning j. In row blocks of
+    BLOCK cells, each block's covered cells move forward to just after the
+    previous block's, never past where they were read: no unread cell is
+    overwritten, and no (n, t) mask or second index array is made."""
+    n, t = cells.shape
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    flat, offset, step = cells.reshape(-1), np.arange(t, dtype=np.int32) * psi, max(1, BLOCK // t)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        block = cells[lo:hi]
+        covered = block >= 0
+        np.cumsum(covered.sum(axis=1), out=indptr[lo + 1:hi + 1])
+        indptr[lo + 1:hi + 1] += indptr[lo]
+        block += offset
+        # compress on flat views beats the boolean mask's gather about 3x at n = 24,000,
+        # t = 200, but indexes what it keeps with int64: a block keeps that index small
+        flat[indptr[lo]:indptr[hi]] = np.compress(covered.ravel(), block.ravel())
+    return indptr
+
+
 # ---------------------------------------------------------------------------
 # Kernel backends
 #
@@ -472,7 +503,9 @@ class IdkOps:
 
     Row i of Phi (n x t*psi, CSR) is point i's feature map: 1/sqrt(t) in
     column j*psi + c for every partitioning j whose cell c covers the point.
-    ``onehot`` stores sqrt(t) * Phi, the 0/1 cell-incidence matrix. A group
+    ``onehot`` stores sqrt(t) * Phi, the 0/1 cell-incidence matrix, with int32
+    entries (int64 from n t = 2^31 on: _phi_dtype), so a stored cell costs 8
+    bytes with its int32 column index and every product of it is exact. A group
     is kept as its integer cell counts (``onehot``'s column sums over its
     rows) and its size m, so its kernel mean map is counts / (m sqrt(t)), and
     every similarity is an integer divided once by an integer: a point's
@@ -489,26 +522,14 @@ class IdkOps:
 
     @classmethod
     def fit(cls, model: IsolationModel, X: np.ndarray) -> "IdkOps":
-        """Feature matrix of the points X under a fitted model."""
+        """Feature matrix of the points X under a fitted model, built inside the
+        transform's (n, t) table (_pack_cells)."""
         cells = model.transform(X)
         n, t = cells.shape
-        covered = cells >= 0
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(covered.sum(axis=1), out=indptr[1:])
-        # row-major order keeps each row's columns sorted by partitioning; the
-        # (n, t) tables go before Phi's data arrives, or they set a job's peak memory
-        cells += np.arange(t, dtype=np.int32) * model.psi
-        # compress on flat views beats the boolean mask's gather about 3x at
-        # n = 24,000, t = 200, but indexes what it keeps with int64: in row blocks
-        # of BLOCK cells that index stays small instead of twice the output
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        step = max(1, BLOCK // t)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            np.compress(covered[lo:hi].ravel(), cells[lo:hi].ravel(),
-                        out=indices[indptr[lo]:indptr[hi]])
-        del cells, covered
-        onehot = sparse.csr_matrix((np.ones(len(indices)), indices, indptr),
+        indptr = _pack_cells(cells, model.psi)
+        # shrinks in place, with no copy; raises if anything else references the table
+        cells.resize(indptr[-1])
+        onehot = sparse.csr_matrix((np.ones(len(cells), _phi_dtype(n, t)), cells, indptr),
                                    shape=(n, t * model.psi))
         return cls(onehot, t)
 
@@ -540,9 +561,10 @@ class IdkOps:
         return counts, m
 
     def point_to_state(self, state: tuple) -> np.ndarray:
-        """Every point's similarity to one group: its shared cells / (m t)."""
+        """Every point's similarity to one group: its shared cells / (m t), the
+        count summed in onehot's own integer type (_phi_dtype)."""
         counts, m = state
-        return (self.onehot @ counts) / (m * self.t)
+        return (self.onehot @ counts.astype(self.onehot.dtype)) / (m * self.t)
 
     def gram(self, groups) -> np.ndarray:
         """K(P_a, P_b) for every pair of groups: count products / (|a| |b| t)."""
@@ -555,8 +577,8 @@ class IdkOps:
 
     def point_row(self, i: int) -> np.ndarray:
         """Phi Phi_i^T: point kernel between point i and every point."""
-        own = np.zeros(self.onehot.shape[1])  # point i's cells, as a dense 0/1 vector
-        own[self.onehot.indices[self.onehot.indptr[i]:self.onehot.indptr[i + 1]]] = 1.0
+        own = np.zeros(self.onehot.shape[1], self.onehot.dtype)  # point i's cells, as a dense 0/1 vector
+        own[self.onehot.indices[self.onehot.indptr[i]:self.onehot.indptr[i + 1]]] = 1
         return (self.onehot @ own) / self.t
 
     def neighbors(self, eps: float) -> sparse.csr_matrix:

@@ -78,6 +78,8 @@ class TestCluster:
         cells = IsolationModel.load(out / "model.npz").transform(points)
         assert 0 < manifest["kernel_coverage"] <= 1
         assert manifest["kernel_coverage"] == np.mean(cells >= 0)
+        # Phi's int32 entries and column indices, 4 bytes each, and its int32 row pointers
+        assert manifest["phi_bytes"] == 8 * np.count_nonzero(cells >= 0) + 4 * (len(points) + 1)
         assert manifest["input"]["sha256"]
         assert set(manifest["timings"]) >= {"fit", "cores", "tree", "assign",
                                             "refine", "total"}
@@ -409,8 +411,21 @@ class TestBench:
         assert [r["n"] for r in summary["rows"]] == [60, 120]  # psi 48 fits, s capped at n
         printed = capsys.readouterr().out.splitlines()
         assert f"config: {RunConfig(**PAPER_ANALOG_TUNED)}" in printed
+        # two sizes fit both lines exactly, so neither gives a verdict
         for algo in ("hkc", "bisect"):
-            assert f"{algo} prefers linear fit: {summary[algo + '_prefers_linear']}" in printed
+            assert summary[algo + "_prefers_linear"] is None
+            assert f"{algo} prefers linear fit: null, a verdict needs >= 3 sizes, got 2" in printed
+
+    @pytest.mark.parametrize("ns, verdict", [([60, 60, 120], None), ([60, 120, 240], True)])
+    def test_verdict_needs_three_distinct_sizes(self, tmp_path, capsys, monkeypatch, ns, verdict):
+        rows = [{"factor": n / 3000, "n": n, "hkc_seconds": n / 100, "bisect_seconds": n / 50} for n in ns]
+        monkeypatch.setattr(cli, "run_scaleup", lambda *a: rows)
+        assert main(["bench", "--out-dir", str(tmp_path / "b")]) == 0
+        summary = json.loads((tmp_path / "b" / "scaleup.json").read_text())
+        assert summary["hkc_prefers_linear"] is summary["bisect_prefers_linear"] is verdict
+        printed = capsys.readouterr().out.splitlines()
+        shown = str(verdict) if verdict else f"null, a verdict needs >= 3 sizes, got {len(set(ns))}"
+        assert f"hkc prefers linear fit: {shown}" in printed
 
     def test_empty_sizes_exits_2(self, tmp_path):
         rc = main(["bench", "--sizes", ",", "--out-dir", str(tmp_path / "b")])

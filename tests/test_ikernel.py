@@ -1,6 +1,9 @@
+import dataclasses
+import inspect
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +14,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from kernelhc import IdkOps, IsolationModel, fit_isolation_model, ikernel
+from kernelhc.datasets import PAPER_ANALOG_COMPONENTS, PAPER_ANALOG_TUNED, generate_mixture, paper_analog
 from kernelhc.ikernel import GdkOps, median_heuristic_bandwidth
 
 from conftest import (
@@ -345,6 +349,121 @@ class TestIdkFeatures:
         vecs = np.array([oracle_point_vector(small_model, x) for x in X])
         expected = float(vecs[a].mean(axis=0) @ vecs[b].mean(axis=0))
         assert ops.set_similarity(a, b) == pytest.approx(expected, abs=1e-15)
+
+
+def assert_same_queries(ops, ref, groups, eps_grid):
+    """ops answers every query bit for bit as ref, a copy with other entries."""
+    def same(a, b):
+        assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+    for rows in groups:
+        same(ops.point_to_state(ops.group_state(rows)), ref.point_to_state(ref.group_state(rows)))
+        assert ops.set_similarity(rows, groups[0]) == ref.set_similarity(rows, groups[0])
+    same(ops.gram(groups), ref.gram(groups))
+    for i in range(0, ops.n, max(1, ops.n // 40)):
+        same(ops.point_row(i), ref.point_row(i))
+    for eps in eps_grid:
+        got, want = ops.neighbors(eps), ref.neighbors(eps)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (eps, field)
+
+
+def reference_phi(cells, psi):
+    """onehot's (indptr, indices) from the transform's cells, row by row."""
+    rows = [np.flatnonzero(row >= 0) * psi + row[row >= 0] for row in cells]
+    return np.cumsum([0] + [len(r) for r in rows]), np.concatenate([[], *rows]).astype(int)
+
+
+class TestPhiStorage:
+    """onehot holds int32 entries (int64 from n t = 2^31 on), built inside the
+    transform's own table, and every query equals a float64 copy's bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_models_equal_a_float64_copy(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        # duplicates, and rows no cell covers, among them the first
+        X = np.vstack([[[1e6, -1e6]], rng_data(seed, n=50), rng_data(seed, n=5), [[-1e6, 1e6]] * 3])
+        model = fit_isolation_model(X[1:56], psi=int(rng.integers(2, 9)), t=int(rng.integers(1, 40)), seed=seed)
+        groups = [np.arange(len(X)), np.arange(0, len(X), 3), np.array([0]), np.arange(56, len(X)),
+                  rng.choice(len(X), 20, replace=False)]
+        for dtype in (np.int32, np.int64):  # int64 as past n t = 2^31, with no table that large
+            monkeypatch.setattr(ikernel, "_phi_dtype", lambda n, t: dtype)
+            ops = IdkOps.fit(model, X)
+            assert ops.onehot.dtype == dtype and ops.onehot[0].nnz == 0
+            ref = IdkOps(ops.onehot.astype(np.float64), ops.t)
+            assert_same_queries(ops, ref, groups, (1 / model.t, 0.3, 1.0))
+
+    def test_tuned_analog_equals_a_float64_copy(self):
+        X = paper_analog().points
+        model = fit_isolation_model(X, PAPER_ANALOG_TUNED["psi"], PAPER_ANALOG_TUNED["t"], seed=1)
+        ops = IdkOps.fit(model, X)
+        assert ops.onehot.dtype == np.int32 and ops.onehot.indices.dtype == np.int32
+        ref = IdkOps(ops.onehot.astype(np.float64), ops.t)
+        labels = paper_analog().labels
+        assert_same_queries(ops, ref, [np.flatnonzero(labels == c) for c in range(6)], ())
+        # the subset IK-DBSCAN searches, at a boundary the float copy would round past
+        sub, sub_ref = ops.take(np.arange(0, len(X), 5)), ref.take(np.arange(0, len(X), 5))
+        assert_same_queries(sub, sub_ref, [np.arange(sub.n)], (0.05, 0.3, 0.9))
+
+    @pytest.mark.parametrize("n, t, dtype", [(2**31 - 1, 1, np.int32), (1, 2**31 - 1, np.int32),
+                                             (2**21, 2**10, np.int64), (2**31, 1, np.int64),
+                                             (24_000, 200, np.int32)])
+    def test_entry_type_rule(self, n, t, dtype):
+        # the largest row sum of a product is t m <= t n
+        assert ikernel._phi_dtype(n, t) is dtype
+
+    def test_memory_of_the_build(self):
+        # the analog-24k input: 24,000 2-d rows at psi 48, t 200
+        comps = [dataclasses.replace(c, size=8 * c.size) for c in PAPER_ANALOG_COMPONENTS]
+        X = generate_mixture(comps, 1).points
+        model = fit_isolation_model(X, 48, 200, seed=1)
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                return f(), tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+        _, transform_peak = peak(lambda: model.transform(X))
+        ops, fit_peak = peak(lambda: IdkOps.fit(model, X))
+        phi = ops.onehot
+        assert phi.data.itemsize == phi.indices.itemsize == 4
+        phi_bytes = phi.data.nbytes + phi.indices.nbytes + phi.indptr.nbytes
+        # the build holds no second (n, t) table, mask or index array: past the
+        # transform, only Phi and its int64 row pointers, which scipy copies to int32
+        assert fit_peak <= max(transform_peak, phi_bytes) + 2**20, (fit_peak, transform_peak, phi_bytes)
+
+    @pytest.mark.parametrize("block", [1, 7, ikernel.BLOCK])
+    def test_uncovered_rows_and_blocks(self, monkeypatch, small_model, block):
+        # uncovered rows first, last and in runs, on both sides of block ends
+        far = [[1e6, -1e6]]
+        X = np.vstack([far, rng_data(3, n=9), far * 4, rng_data(4, n=11), far * 2])
+        monkeypatch.setattr(ikernel, "BLOCK", block * small_model.t)
+        ops = IdkOps.fit(small_model, X)
+        indptr, indices = reference_phi(small_model.transform(X), small_model.psi)
+        assert np.array_equal(ops.onehot.indptr, indptr) and np.array_equal(ops.onehot.indices, indices)
+        assert ops.onehot.nnz and ops.onehot[0].nnz == ops.onehot[-1].nnz == 0
+        assert (ops.onehot.data == 1).all() and ops.onehot.shape == (len(X), small_model.t * small_model.psi)
+
+    @pytest.mark.parametrize("n", [0, 1, 6])
+    def test_no_rows_or_nothing_covered(self, small_model, n):
+        ops = IdkOps.fit(small_model, np.full((n, 2), 1e6))
+        assert ops.onehot.shape == (n, small_model.t * small_model.psi) and ops.onehot.nnz == 0
+        assert ops.onehot.dtype == np.int32 and np.array_equal(ops.onehot.indptr, np.zeros(n + 1))
+        if n:
+            assert not ops.point_row(n - 1).any() and not ops.point_to_state(ops.group_state(np.arange(n))).any()
+
+    def test_referenced_table_is_not_resized(self, monkeypatch, small_model):
+        kept = []
+        transform = IsolationModel.transform
+
+        def keeping(self, X):
+            kept.append(transform(self, X))
+            return kept[-1]
+        monkeypatch.setattr(IsolationModel, "transform", keeping)
+        with pytest.raises(ValueError, match="resize"):
+            IdkOps.fit(small_model, rng_data(5, n=12))
+        assert "refcheck=False" not in inspect.getsource(ikernel)
 
 
 def edge_points(model):
