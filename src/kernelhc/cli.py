@@ -233,7 +233,7 @@ def cmd_eval(args) -> int:
         model = IsolationModel.load(args.model)
         ops = IdkOps.fit(model, ds.points)
         report["tsc"] = dendro.tsc(tree, ops)
-        report["tsc_local"] = dendro.tsc_local(tree, ops)
+        report["tsc_local"] = report["tsc"] / tree.n_points  # dendro.tsc_local, from the one sum
 
     width = max(len(k) for k in report)
     for key, val in report.items():
@@ -283,8 +283,8 @@ def _parse_sizes(text: str):
         if not part:
             continue
         factor = float(part.removesuffix("x"))
-        if not factor > 0:
-            raise ValueError(f"--sizes factors must be > 0, got {part!r}")
+        if not (factor > 0 and np.isfinite(factor)):
+            raise ValueError(f"--sizes factors must be finite and > 0, got {part!r}")
         factors.append(factor)
     if not factors:
         raise ValueError("--sizes must list at least one size factor")

@@ -268,18 +268,20 @@ class IsolationModel:
         A leaf (at most SCAN_LEAF rows of a sliding-midpoint kd-tree, small
         leaves merged: _leaves) scores only the centers that can be nearest to
         one of its rows, in two groups of partitionings padded to their largest
-        kept count, with a GEMM that certifies the pairs beyond its rounding
-        error (a byte mask of the scores near the best) and leaves the rest to
-        a rescan of all psi centers. The cells are the full ``cdist`` scan's,
-        bit for bit (comments above _screen_cells). Leaves and rescans run on
-        up to WORKERS threads (_deal), in tasks that write only their own cells;
-        a cell depends on its row alone, so none of WORKERS, SCAN_LEAF, BLOCK
-        or the leaves changes it. A task selects
-        the centers for a batch of its leaves at once, in whole-batch array
-        passes (one GEMM for every leaf's midpoint, one sort of every kept
-        mask), so that only the scoring GEMMs, _screen_cells and the cell
-        writes cost NumPy calls per leaf: such calls hold the GIL, and on 2-d
-        data, where a leaf's scoring is cheap, they kept a second worker idle.
+        kept count. It gathers those centers' rows of the weight table, all psi
+        of them in a partitioning that keeps every center, into a GEMM that
+        certifies the pairs beyond its rounding error (a byte mask of the
+        scores near the best) and leaves the rest to a rescan of all psi
+        centers. The cells are the full ``cdist`` scan's, bit for bit
+        (comments above _screen_cells). Leaves and rescans run on up to WORKERS
+        threads (_deal), in tasks that write only their own cells; a cell
+        depends on its row alone, so none of WORKERS, SCAN_LEAF, BLOCK or the
+        leaves changes it. A task selects the centers for a batch of its leaves
+        at once, in whole-batch array passes (one GEMM for every leaf's
+        midpoint, one sort of every kept mask), so that only the gathers, the
+        scoring GEMMs, _screen_cells and the cell writes cost NumPy calls per
+        leaf: such calls hold the GIL, and on 2-d data, where a leaf's scoring
+        is cheap, they kept a second worker idle.
         """
         X = _check_matrix(X, "X")
         n, d = X.shape
@@ -293,24 +295,19 @@ class IsolationModel:
         flat = self.centers.reshape(-1, d)
         grow, floor = 1 + 2 * (d + 4) * _EPS, 8 * math.sqrt(d * _ETA)  # 1 + 8e, >= 6z
 
-        # partitionings per call of k centers each, w floats of gathered weights per
-        # center: the screen scores a leaf's rows at once, reading each weight once
-        def width(k, w):
-            return max(1, BLOCK // (k * (SCAN_LEAF + w)))
-        # scores ||c||^2 - 2 x.c from one GEMM of [-2c, ||c||^2] and [x, 1]: one table row
-        # per center, in tiles of width(psi, 0) partitionings that a leaf keeping every
-        # center scores as they are: center 0 of each, then 1, ...
-        part, tile = np.arange(t)[:, None], width(psi, 0)
-        base = part - part % tile
-        row_of = base * psi + np.arange(psi) * np.minimum(tile, t - base) + part - base  # (t, psi)
+        # partitionings per call of k centers each: the call's gathered table rows and
+        # its scores of all of a leaf's rows fit in the task's block, so a weight is read once
+        def width(k):
+            return max(1, BLOCK // (k * (SCAN_LEAF + d + 1)))
+        # scores ||c||^2 - 2 x.c from one GEMM of [-2c, ||c||^2] and [x, 1]: row j psi + c
+        # of the table holds center c of partitioning j
         table = np.empty((t * psi, d + 1))
-        table[row_of.ravel(), :d] = flat
-        table[:, :d] *= -2
-        table[row_of.ravel(), d] = np.einsum("ij,ij->i", flat, flat)
+        np.multiply(flat, -2, out=table[:, :d])  # in place: a (t psi, d) temporary raised blobs-64d's peak RSS
+        table[:, d] = np.einsum("ij,ij->i", flat, flat)
         max_sq_c, r2 = table[:, d].max(), self.radii * self.radii
 
         # leaves per batch: a batch's rows with their differences from p, and later its
-        # p-to-center squares with their GEMM output, each fit in the task's block
+        # p-to-center squares, each fit in the task's block
         batch = max(1, BLOCK // (2 * (t * psi + SCAN_LEAF * d)))
 
         def scan(mine, bufs):  # a task's leaves, a batch at a time
@@ -331,8 +328,7 @@ class IsolationModel:
                 sq_x, sq_p = np.einsum("ij,ij->i", box, box), np.einsum("ij,ij->i", ps[:, :d], ps[:, :d])
                 tol, tol_p = (4 * (d + 2) * (_EPS * (sq + 3 * max_sq_c) + _ETA) for sq in (sq_x, sq_p))
                 # p's screened squared distances stand in for cdist(p, c)
-                near = np.matmul(ps, table.T, out=buf[:m * t * psi].reshape(m, -1))
-                dp = np.take(near, row_of, axis=1, out=buf[m * t * psi:2 * m * t * psi].reshape(m, t, psi))
+                dp = np.matmul(ps, table.T, out=buf[:m * t * psi].reshape(m, -1)).reshape(m, t, psi)
                 dp += sq_p[:, None, None]
                 bound = (np.sqrt(dp.min(axis=2) + tol_p[:, None]) + reach[:, None]) * grow + floor
                 bound *= bound
@@ -340,17 +336,15 @@ class IsolationModel:
                 parts, cut, counts, order = _kept_groups(np.less_equal(dp, bound[:, :, None], out=keep[:m]))
                 for rows, lo, hi, part, c, count, idx in zip(group, start, start[1:], parts, cut.tolist(),
                                                             counts.tolist(), order):
-                    w = 0 if count[0] == psi else d + 1  # a whole tile, or the centers gathered into buf
                     xs = rows1[:len(rows)]
                     xs[:, :d] = X[rows]
                     for a, z, k in ((0, c, count[c - 1]), (c, t, count[-1])):
-                        g = width(k, w)
+                        g = width(k)
                         for pp in (part[i:min(i + g, z)] for i in range(a, z, g)):
                             ip = idx[pp, :k].T
-                            sub = (np.take(table, row_of[pp, ip].ravel(), axis=0,
-                                           out=buf[:ip.size * w].reshape(-1, w), mode="clip")
-                                   if w else table[pp[0] * psi:(pp[-1] + 1) * psi])
-                            vals = buf[ip.size * w:][:len(sub) * len(rows)].reshape(len(sub), -1)
+                            sub = np.take(table, (pp * psi + ip).ravel(), axis=0,
+                                          out=buf[:ip.size * (d + 1)].reshape(-1, d + 1), mode="clip")
+                            vals = buf[sub.size:][:len(sub) * len(rows)].reshape(len(sub), -1)
                             scores = np.matmul(sub, xs.T, out=vals).reshape(k, len(pp), -1)
                             cells[:len(rows), pp] = _screen_cells(scores, sq_x[lo:hi], tol[lo:hi], ip, r2[pp],
                                                                   mask).T
@@ -589,12 +583,10 @@ class IdkOps:
         same float, and a pair sharing no cell is never kept while eps > 0."""
         right = self.onehot.T.tocsr()
 
-        def block(lo, hi, _):
-            shared = self.onehot[lo:hi] @ right
-            keep = shared.data / self.t >= eps
-            kept = np.zeros(len(keep) + 1, dtype=np.int64)
-            np.cumsum(keep, out=kept[1:])
-            near = sparse.csr_matrix((keep[keep], shared.indices[keep], kept[shared.indptr]), shape=shared.shape)
+        def block(lo, hi, _):  # thresholded in place: the entries below eps become False, then go
+            near = self.onehot[lo:hi] @ right
+            near.data = near.data / self.t >= eps
+            near.eliminate_zeros()
             near.sort_indices()
             return near
         return sparse.vstack(_row_blocks(self.n, self.n, block), format="csr")

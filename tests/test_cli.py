@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelhc import cli
+from kernelhc import cli, dendro
 from kernelhc.cli import _run_config, build_parser, main
 from kernelhc.datasets import PAPER_ANALOG_TUNED, load_csv
 from kernelhc.hier import RunConfig
-from kernelhc.ikernel import IsolationModel
+from kernelhc.ikernel import IdkOps, IsolationModel
 
 SPEC = [
     {"type": "gaussian", "center": [0, 0], "std": 0.1, "size": 40},
@@ -303,6 +303,21 @@ class TestEval:
         assert report["tsc_local"] == pytest.approx(
             manifest["metrics"]["tsc_local_after_refine"], abs=1e-12)
 
+    def test_tsc_sums_the_leaves_once(self, blob_csv, tmp_path, monkeypatch):
+        # tsc_local is tsc / n from the one total_similarity call, bit for bit dendro.tsc_local
+        out = tmp_path / "run"
+        assert main(cluster_args(blob_csv, out)) == 0
+        calls, total = [], dendro.total_similarity
+        monkeypatch.setattr(dendro, "total_similarity", lambda ops, groups: calls.append(1) or total(ops, groups))
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--tree", str(out / "tree.json"), "--metrics", "tsc", "--in", str(blob_csv),
+                     "--model", str(out / "model.npz"), "--out", str(report_path)]) == 0
+        assert len(calls) == 1
+        report = json.loads(report_path.read_text())
+        tree = dendro.Dendrogram.from_json((out / "tree.json").read_text())
+        ops = IdkOps.fit(IsolationModel.load(out / "model.npz"), load_csv(blob_csv, label_column="label").points)
+        assert report["tsc_local"] == report["tsc"] / tree.n_points == dendro.tsc_local(tree, ops)
+
     def test_tsc_input_named_label_column_must_exist(self, blob_csv, tmp_path, capsys):
         # an unlabeled input is read whole only when no --label-col is given
         out = tmp_path / "run"
@@ -432,7 +447,7 @@ class TestBench:
         assert rc == 2
 
     @pytest.mark.parametrize("flag", ["--sizes=0x", "--sizes=-1x", "--sizes=1x,0",
-                                      "--sizes=nanx", "--repeats=0"])
+                                      "--sizes=nanx", "--sizes=infx", "--repeats=0"])
     def test_nonpositive_size_or_repeats_exits_2(self, tmp_path, capsys, monkeypatch, flag):
         monkeypatch.setattr(cli, "run_scaleup", lambda *a: pytest.fail("ran the bench"))
         assert main(["bench", flag, "--out-dir", str(tmp_path / "b")]) == 2

@@ -561,6 +561,16 @@ class TestScreen:
         fallback = sum(rescanned)
         assert 0 < fallback < len(X) * model.t
 
+    def test_leaf_keeping_every_center_gathers_them_all(self, monkeypatch):
+        # unclustered data at the default SCAN_LEAF and BLOCK: some leaf keeps
+        # all psi centers of a partitioning and scores them through the same
+        # gather as a leaf that keeps fewer
+        X = np.random.default_rng(0).normal(size=(3000, 8))
+        model = fit_isolation_model(X, psi=16, t=20, seed=0)
+        shapes = screened(monkeypatch)
+        assert np.array_equal(model.transform(X), full_scan(model, X))
+        assert any(k == model.psi for k, _, _ in shapes)
+
     def test_screen_blocks_match(self, monkeypatch):
         # 3 rows per block, and a block smaller than one row of scores
         X = np.random.default_rng(7).normal(size=(50, 16))
@@ -908,11 +918,12 @@ class TestWorkers:
     def test_screen_with_fast_switching(self, monkeypatch):
         # a task writing outside its leaves' rows would show as a difference
         # from the oracle; leaves of at most 3 rows on 8 threads, two
-        # partitionings per call where a leaf keeps every center
+        # partitionings per call where a leaf keeps every center (the call
+        # holds the gathered weights, d + 1 per center, beside the scores)
         model, queries = worker_inputs(3)
         expected = {name: oracle_cells(model, X) for name, X in queries.items()}
         monkeypatch.setattr(ikernel, "SCAN_LEAF", 3)
-        monkeypatch.setattr(ikernel, "BLOCK", 2 * model.psi * 3)
+        monkeypatch.setattr(ikernel, "BLOCK", 2 * model.psi * (3 + 3 + 1))
         monkeypatch.setattr(ikernel, "WORKERS", 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -1188,5 +1199,6 @@ class TestNeighbors:
                     graph = ops.neighbors(eps)
                     assert graph.dtype == bool and graph.shape == K.shape
                     assert graph.has_sorted_indices, (workers, block, eps)
+                    assert graph.data.all(), (workers, block, eps)  # no stored False
                     assert np.array_equal(graph.toarray(), K >= eps), (workers, block, eps)
         assert set(pool_spy) == {2, 8}
