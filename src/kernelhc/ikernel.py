@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -459,6 +460,12 @@ def _phi_dtype(n: int, t: int) -> type:
     return np.int32 if n * t < 2**31 else np.int64
 
 
+# Each entry type's live read-only run of ones, which IdkOps.fit views as onehot's
+# entries; only the Phis that view it keep it alive. Fits racing on threads may each
+# make a run, which costs memory, not correctness
+_ONES = weakref.WeakValueDictionary()
+
+
 def _pack_cells(cells: np.ndarray, psi: int) -> np.ndarray:
     """Turn the transform's (n, t) table into IdkOps.onehot's column indices in
     place, and return its indptr: the first indptr[-1] flat cells become each
@@ -498,8 +505,10 @@ class IdkOps:
     Row i of Phi (n x t*psi, CSR) is point i's feature map: 1/sqrt(t) in
     column j*psi + c for every partitioning j whose cell c covers the point.
     ``onehot`` stores sqrt(t) * Phi, the 0/1 cell-incidence matrix, with int32
-    entries (int64 from n t = 2^31 on: _phi_dtype), so a stored cell costs 8
-    bytes with its int32 column index and every product of it is exact. A group
+    entries (int64 from n t = 2^31 on: _phi_dtype), so every product of it is
+    exact. A stored cell costs 4 bytes of int32 column index: the entries are a
+    read-only view of one run of ones (_ONES) that every live Phi of the process
+    shares, though scipy copies a view of less than half the run. A group
     is kept as its integer cell counts (``onehot``'s column sums over its
     rows) and its size m, so its kernel mean map is counts / (m sqrt(t)), and
     every similarity is an integer divided once by an integer: a point's
@@ -517,14 +526,20 @@ class IdkOps:
     @classmethod
     def fit(cls, model: IsolationModel, X: np.ndarray) -> "IdkOps":
         """Feature matrix of the points X under a fitted model, built inside the
-        transform's (n, t) table (_pack_cells)."""
+        transform's (n, t) table (_pack_cells), which is copied only when
+        something else references it."""
         cells = model.transform(X)
         n, t = cells.shape
         indptr = _pack_cells(cells, model.psi)
-        # shrinks in place, with no copy; raises if anything else references the table
-        cells.resize(indptr[-1])
-        onehot = sparse.csr_matrix((np.ones(len(cells), _phi_dtype(n, t)), cells, indptr),
-                                   shape=(n, t * model.psi))
+        try:  # shrinks in place, with no copy, unless something else references the table
+            cells.resize(indptr[-1])
+        except ValueError:  # as a profiler's or tracer's hook does: copy the packed cells
+            cells = cells.reshape(-1)[:indptr[-1]].copy()
+        ones = _ONES.get(dtype := _phi_dtype(n, t))
+        if ones is None or len(ones) < len(cells):  # none lives, or too short: a new run
+            ones = _ONES[dtype] = np.ones(len(cells), dtype)
+            ones.flags.writeable = False
+        onehot = sparse.csr_matrix((ones[:len(cells)], cells, indptr), shape=(n, t * model.psi))
         return cls(onehot, t)
 
     @property
@@ -614,9 +629,8 @@ class GdkOps:
         return GdkOps(self.X[np.asarray(rows)], self.bandwidth)
 
     def _rbf(self, A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
-        k = cdist(A, B, "sqeuclidean", out=out)  # exp(-k / (2 h^2)) in place, rounded in that order
-        np.negative(k, out=k)
-        np.divide(k, 2.0 * self.bandwidth**2, out=k)  # a reciprocal would change the bits
+        k = cdist(A, B, "sqeuclidean", out=out)  # exp(-k / (2 h^2)) in place, as k / -(2 h^2):
+        np.divide(k, -(2.0 * self.bandwidth**2), out=k)  # rounding is sign-symmetric; a reciprocal would change bits
         return np.exp(k, out=k)
 
     def _row_means(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -1,15 +1,18 @@
 import dataclasses
+import gc
 import inspect
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -367,6 +370,27 @@ def assert_same_queries(ops, ref, groups, eps_grid):
             assert np.array_equal(getattr(got, field), getattr(want, field)), (eps, field)
 
 
+def assert_same_phi(got, want):
+    """Two onehot matrices hold the same cells and entries."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+def analog_24k():
+    """The analog-24k input, 24,000 2-d rows, and its model at psi 48, t 200."""
+    comps = [dataclasses.replace(c, size=8 * c.size) for c in PAPER_ANALOG_COMPONENTS]
+    X = generate_mixture(comps, 1).points
+    return X, fit_isolation_model(X, 48, 200, seed=1)
+
+
+@pytest.fixture
+def fresh_ones(monkeypatch):
+    """An empty map of live runs of ones, so no other test's Phi shares one."""
+    monkeypatch.setattr(ikernel, "_ONES", weakref.WeakValueDictionary())
+    return ikernel._ONES
+
+
 def reference_phi(cells, psi):
     """onehot's (indptr, indices) from the transform's cells, row by row."""
     rows = [np.flatnonzero(row >= 0) * psi + row[row >= 0] for row in cells]
@@ -411,11 +435,8 @@ class TestPhiStorage:
         # the largest row sum of a product is t m <= t n
         assert ikernel._phi_dtype(n, t) is dtype
 
-    def test_memory_of_the_build(self):
-        # the analog-24k input: 24,000 2-d rows at psi 48, t 200
-        comps = [dataclasses.replace(c, size=8 * c.size) for c in PAPER_ANALOG_COMPONENTS]
-        X = generate_mixture(comps, 1).points
-        model = fit_isolation_model(X, 48, 200, seed=1)
+    def test_memory_of_the_build(self, fresh_ones):
+        X, model = analog_24k()
 
         def peak(f):
             tracemalloc.start()
@@ -454,6 +475,9 @@ class TestPhiStorage:
             assert not ops.point_row(n - 1).any() and not ops.point_to_state(ops.group_state(np.arange(n))).any()
 
     def test_referenced_table_is_not_resized(self, monkeypatch, small_model):
+        # fit copies the packed cells of a table something else references
+        X = rng_data(5, n=12)
+        want = IdkOps.fit(small_model, X).onehot
         kept = []
         transform = IsolationModel.transform
 
@@ -461,9 +485,108 @@ class TestPhiStorage:
             kept.append(transform(self, X))
             return kept[-1]
         monkeypatch.setattr(IsolationModel, "transform", keeping)
-        with pytest.raises(ValueError, match="resize"):
-            IdkOps.fit(small_model, rng_data(5, n=12))
+        assert_same_phi(IdkOps.fit(small_model, X).onehot, want)
+        assert kept[0].shape == (len(X), small_model.t)
         assert "refcheck=False" not in inspect.getsource(ikernel)
+
+    @pytest.mark.parametrize("hook, current", [(sys.setprofile, sys.getprofile), (sys.settrace, sys.gettrace)])
+    def test_fit_under_a_profiler_or_tracer(self, small_model, hook, current):
+        # with a hook installed (cProfile, pdb, coverage), CPython references the table at its resize
+        X = rng_data(5, n=40)
+        want, previous = IdkOps.fit(small_model, X).onehot, current()
+        hook(lambda *args: None)
+        try:
+            got = IdkOps.fit(small_model, X).onehot
+        finally:
+            hook(previous)
+        assert_same_phi(got, want)
+
+
+class TestSharedOnes:
+    """onehot's entries are a read-only view of one run of ones per entry type,
+    which every live Phi shares and the last of them frees."""
+
+    def test_live_phis_share_one_run(self, small_model, fresh_ones):
+        X = rng_data(5, n=40)
+        a = IdkOps.fit(small_model, X)
+        b = IdkOps.fit(small_model, X[::-1])
+        assert np.shares_memory(a.onehot.data, b.onehot.data)
+        # a Phi with more cells than the live run holds gets a longer one, which a later Phi views
+        c = IdkOps.fit(small_model, np.vstack([X, X]))
+        d = IdkOps.fit(small_model, np.vstack([X, X[:30]]))
+        assert not np.shares_memory(a.onehot.data, c.onehot.data)
+        assert np.shares_memory(c.onehot.data, d.onehot.data)
+        assert fresh_ones[np.int32] is c.onehot.data.base
+
+    def test_entries_are_read_only(self, small_model, fresh_ones):
+        X = rng_data(5, n=40)
+        phis = [IdkOps.fit(small_model, X).onehot for _ in range(2)]
+        for phi in phis:
+            with pytest.raises(ValueError, match="read-only"):
+                phi.data[0] = 2
+        assert all((phi.data == 1).all() for phi in phis)
+
+    def test_run_dies_with_the_last_phi(self, small_model, fresh_ones):
+        a, b = (IdkOps.fit(small_model, rng_data(seed, n=40)) for seed in (5, 6))
+        run = weakref.ref(fresh_ones[np.int32])
+        del a
+        gc.collect()
+        assert run() is not None
+        del b
+        gc.collect()
+        assert run() is None and not fresh_ones
+
+    def test_int64_phis_have_their_own_run(self, monkeypatch, small_model, fresh_ones):
+        X = rng_data(5, n=40)
+        narrow = IdkOps.fit(small_model, X)
+        monkeypatch.setattr(ikernel, "_phi_dtype", lambda n, t: np.int64)
+        wide = [IdkOps.fit(small_model, X) for _ in range(2)]
+        assert wide[0].onehot.dtype == np.int64 and not np.shares_memory(narrow.onehot.data, wide[0].onehot.data)
+        assert np.shares_memory(wide[0].onehot.data, wide[1].onehot.data)
+        assert fresh_ones[np.int32] is narrow.onehot.data.base and fresh_ones[np.int64] is wide[0].onehot.data.base
+
+    def test_refit_while_phi_lives_allocates_no_ones(self, monkeypatch, fresh_ones):
+        # traced from the packed table on, where a Phi of its own allocates nnz ones
+        # (as the resize frees the table's tail, its peak then rises by less than they take)
+        X, model = analog_24k()
+        pack, marks, tails, kept, phis = ikernel._pack_cells, [], [], [], []
+
+        def packing(cells, psi):
+            indptr = pack(cells, psi)
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory()[0])
+            return indptr
+        monkeypatch.setattr(ikernel, "_pack_cells", packing)
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                start = tracemalloc.get_traced_memory()[0]
+                phis.append(IdkOps.fit(model, X).onehot)
+                current, peak = tracemalloc.get_traced_memory()
+                tails.append(peak - marks[-1])
+                kept.append(current - start)
+        finally:
+            tracemalloc.stop()
+        first, second = phis
+        assert np.shares_memory(first.data, second.data)
+        # past the table, the refit makes only Phi's int32 row pointers, which scipy copies from the int64 ones
+        assert tails[1] <= second.indptr.nbytes + 2**16 < 2**20 + tails[1] < tails[0], tails
+        own = second.indices.nbytes + second.indptr.nbytes
+        assert kept[0] >= own + first.data.nbytes and kept[1] <= own + 2**16, (kept, own)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_queries_equal_private_ones(self, small_model, fresh_ones, seed):
+        rng = np.random.default_rng(seed)
+        X = np.vstack([rng_data(seed, n=60), [[1e6, -1e6]]])
+        shared = [IdkOps.fit(small_model, X) for _ in range(2)]
+        phi = shared[0].onehot
+        private = IdkOps(sparse.csr_matrix((np.ones(phi.nnz, phi.dtype), phi.indices.copy(), phi.indptr.copy()),
+                                           shape=phi.shape), shared[0].t)
+        assert np.shares_memory(phi.data, shared[1].onehot.data) and private.onehot.data.flags.writeable
+        groups = [np.arange(len(X)), np.arange(0, len(X), 4), np.array([len(X) - 1]),
+                  rng.choice(len(X), 15, replace=False)]
+        assert_same_queries(shared[0], private, groups, (1 / small_model.t, 0.3, 1.0))
+        assert_same_queries(shared[0].take(groups[3]), private.take(groups[3]), [np.arange(15)], (0.3,))
 
 
 def edge_points(model):
@@ -1100,6 +1223,19 @@ class TestGdk:
     def test_overflowing_scale_rejected(self):
         with pytest.raises(ValueError, match="rescale"):
             GdkOps(rng_data(1, n=5) * 1e300, bandwidth=1.0)
+
+    @pytest.mark.parametrize("bandwidth", [1e-3, 0.37, 25.0, 1e150])
+    def test_rbf_is_the_two_step_formula_bit_for_bit(self, monkeypatch, bandwidth):
+        # exp(-k / (2 h^2)) for zero distances (duplicates: the sign of zero), quotients
+        # that underflow (subnormal spacing, wide bandwidths) and kernels that do (narrow ones)
+        X = np.vstack([rng_data(17, n=40), rng_data(17, n=3), [[0.0, 0.0], [1e-160, 0.0], [3e-162, 0.0], [1e3, 1e3]]])
+        k = cdist(X, X, "sqeuclidean")
+        exponent = np.divide(np.negative(k), 2.0 * bandwidth**2)
+        ops = GdkOps(X, bandwidth)
+        assert ops._rbf(X, X).tobytes() == np.exp(exponent).tobytes()
+        assert np.signbit(exponent[k == 0]).all() and ((exponent[k > 0] == 0).any() or (np.exp(exponent) == 0).any())
+        monkeypatch.setattr(np, "exp", lambda k, out: k)  # the exponent itself, signed zeros included
+        assert ops._rbf(X, X).tobytes() == exponent.tobytes()
 
     def test_median_heuristic_positive_and_deterministic(self):
         X = rng_data(13, n=200)
