@@ -151,7 +151,7 @@ def cmd_cluster(args) -> int:
         warnings.extend(result.warnings)
         timings.update(result.timings)
         model = result.model
-        extra = {"k_effective": result.k, "iterations": result.iterations,
+        extra = {"k_effective": result.k, "iterations": result.iterations, "refine": result.refine_trace,
                  "zero_ties": [{"node": rec["node"], "zero_ties": rec["zero_ties"]}
                                for rec in tree.split_records]}
         dendro.annotate_alphas(tree, result.ops)

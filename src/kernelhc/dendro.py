@@ -230,13 +230,16 @@ def topology_equal(a: Dendrogram, b: Dendrogram) -> bool:
 # Total similarity of all clusters
 # ---------------------------------------------------------------------------
 
-def total_similarity(ops, groups) -> float:
+def total_similarity(ops, groups, sims=None) -> float:
     """Total similarity of all clusters: sum over the groups S of
     |S| * K(P_S, P_S), which equals the sum over every member x of its
     similarity to its own group's distribution. ``ops`` is a kernel backend
     (ikernel.IdkOps / GdkOps) and ``groups`` lists row-index arrays; empty
-    groups contribute nothing."""
-    return sum(len(g) * ops.set_similarity(g, g) for g in groups if len(g))
+    groups contribute nothing. ``sims`` holds each group's K(P_S, P_S) when
+    the caller has it already (hier.refine reads them off its group states)."""
+    if sims is None:
+        sims = (ops.set_similarity(g, g) if len(g) else None for g in groups)
+    return sum(len(g) * v for g, v in zip(groups, sims) if len(g))
 
 
 def _check_rows(tree: Dendrogram, ops) -> None:

@@ -85,6 +85,7 @@ class RunResult:
     k: int  # effective leaf count (may be below the requested k)
     iterations: int
     tsc_trace: tuple  # (tsc_local before refinement, after)
+    refine_trace: dict  # refine's tsc_local per labeling, points moved per pass, stop reason
     orphans: int  # points with zero similarity to every cluster
     warnings: list
     timings: dict
@@ -155,6 +156,11 @@ def refine(ops, cores: corecluster.CoreClusterSet, labels: np.ndarray):
     Stops after ``REFINE_PASSES`` passes or as soon as fewer points moved than
     one percent of the dataset (or none at all). A cluster that loses all
     members keeps its previous distribution so the leaf count stays fixed.
+
+    Returns the labels, the passes run, and a trace: ``tsc_local`` of every
+    labeling a pass scored, read off that pass's states and scores
+    (``ops.self_similarity``), then of the final labeling (empty when no pass
+    ran); the points each pass ``moved``; and why refine ``stop``ped.
     """
     n = ops.n
     k = cores.k
@@ -164,22 +170,36 @@ def refine(ops, cores: corecluster.CoreClusterSet, labels: np.ndarray):
         prev[cores.full_rows(j)] = j
     states = [ops.group_state(cores.full_rows(j)) for j in range(k)]
     labels = np.asarray(labels, dtype=np.int64)
-    iterations = 0
-    while iterations < REFINE_PASSES:
+    iterations, tsc, moved = 0, [], []
+    while True:
         changed = int((labels != prev).sum())
-        if changed < delta:
+        if iterations:
+            moved.append(changed)
+        stop = ("moved < 1% of n" if changed < delta
+                else "fixed point" if changed == 0 and iterations  # a full pass moved nothing
+                else "pass cap" if iterations == REFINE_PASSES else None)
+        if stop:
             break
-        if changed == 0 and iterations > 0:
-            break  # a full pass moved nothing: true fixed point
         prev = labels
-        for j in range(k):
-            rows = np.nonzero(prev == j)[0]
+        groups = [np.nonzero(prev == j)[0] for j in range(k)]
+        for j, rows in enumerate(groups):
             if len(rows):
                 states[j] = ops.group_state(rows)
         scores = np.column_stack([ops.point_to_state(st) for st in states])
+        sims = [ops.self_similarity(st, scores[:, j]) for j, st in enumerate(states)]
+        tsc.append(dendro.total_similarity(ops, groups, sims) / n)
         labels = scores.argmax(axis=1).astype(np.int64)
         iterations += 1
-    return labels, iterations
+    if iterations:  # the final labeling: the last pass's states, with the moved rows regrouped
+        rows = np.nonzero(labels != prev)[0]
+        for j in np.union1d(prev[rows], labels[rows]):
+            old, groups[j] = groups[j], np.nonzero(labels == j)[0]
+            if len(groups[j]):  # a group empty before has only a stale state: build it afresh
+                rows_in, rows_out = rows[labels[rows] == j], rows[prev[rows] == j]
+                st = ops.regroup(states[j], rows_in, rows_out) if len(old) else ops.group_state(rows_in)
+                sims[j] = ops.self_similarity(st)
+        tsc.append(dendro.total_similarity(ops, groups, sims) / n)
+    return labels, iterations, {"tsc_local": tsc, "moved": moved, "stop": stop}
 
 
 def assignment_tsc_local(ops, labels: np.ndarray, k: int) -> float:
@@ -248,13 +268,12 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
     timings["assign"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    tsc_before = assignment_tsc_local(ops, labels, cores.k)
     if config.refine:
-        labels, iterations = refine(ops, cores, labels)
-        tsc_after = assignment_tsc_local(ops, labels, cores.k)
+        labels, iterations, trace = refine(ops, cores, labels)
     else:
-        iterations = 0
-        tsc_after = tsc_before
+        iterations, trace = 0, {"tsc_local": [], "moved": [], "stop": None}
+    if not trace["tsc_local"]:  # refine scored nothing: the labeling is assign's
+        trace["tsc_local"].append(assignment_tsc_local(ops, labels, cores.k))
     timings["refine"] = time.perf_counter() - t0
 
     tree.finalize(labels)
@@ -265,7 +284,8 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
         cores=cores,
         k=cores.k,
         iterations=iterations,
-        tsc_trace=(tsc_before, tsc_after),
+        tsc_trace=(trace["tsc_local"][0], trace["tsc_local"][-1]),
+        refine_trace=trace,
         orphans=orphans,
         warnings=warnings,
         timings=timings,

@@ -584,6 +584,12 @@ class IdkOps:
     def set_similarity(self, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
         return float(self.gram([rows_a] if rows_b is rows_a else [rows_a, rows_b])[0, -1])
 
+    def self_similarity(self, state: tuple, scores=None) -> float:
+        """K(P_S, P_S) from the group's state alone, as gram's diagonal: the
+        integer count product, exact as gram's float one, over (m m) t."""
+        counts, m = state
+        return float(counts @ counts / (float(m) * m * self.t))
+
     def point_row(self, i: int) -> np.ndarray:
         """Phi Phi_i^T: point kernel between point i and every point."""
         own = np.zeros(self.onehot.shape[1], self.onehot.dtype)  # point i's cells, as a dense 0/1 vector
@@ -660,6 +666,12 @@ class GdkOps:
     def set_similarity(self, rows_a: np.ndarray, rows_b: np.ndarray) -> float:
         return float(self._row_means(self.X[self.group_state(rows_a)],
                                      self.X[self.group_state(rows_b)]).mean())
+
+    def self_similarity(self, state: np.ndarray, scores: np.ndarray | None = None) -> float:
+        """K(P_S, P_S): the mean of the members' own entries of scores, the
+        column point_to_state(state) gave, which are the row means
+        set_similarity(S, S) averages; computed afresh without scores."""
+        return self.set_similarity(state, state) if scores is None else float(scores[state].mean())
 
     def gram(self, groups) -> np.ndarray:
         G = np.array([[self.set_similarity(a, b) if i <= j else 0.0 for j, b in enumerate(groups)]

@@ -191,6 +191,23 @@ class TestCluster:
         assert main(cluster_args(blob_csv, out, "--no-refine")) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["iterations"] == 0
+        metrics = manifest["metrics"]
+        assert manifest["refine"] == {"tsc_local": [metrics["tsc_local_before_refine"]], "moved": [], "stop": None}
+        assert metrics["tsc_local_before_refine"] == metrics["tsc_local_after_refine"]
+
+    @pytest.mark.parametrize("kernel", [["--psi", "4", "--t", "30"], ["--kernel", "gdk", "--bandwidth", "0.9"]],
+                             ids=["idk", "gdk"])
+    def test_refine_trace_in_manifest(self, blob_csv, tmp_path, kernel):
+        # the manifest's per-labeling trace ends in the before/after metrics exactly
+        out = tmp_path / "trace"
+        assert main(["cluster", "--in", str(blob_csv), "--label-col", "label", "--k", "2", "--tau", "0.01",
+                     "--subset-size", "60", "--seed", "5", "--out-dir", str(out), *kernel]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        trace, metrics = manifest["refine"], manifest["metrics"]
+        assert trace["tsc_local"][0] == metrics["tsc_local_before_refine"]
+        assert trace["tsc_local"][-1] == metrics["tsc_local_after_refine"]
+        assert len(trace["tsc_local"]) == manifest["iterations"] + 1 == len(trace["moved"]) + 1
+        assert trace["stop"] in ("moved < 1% of n", "fixed point", "pass cap")
 
     def test_fewer_cores_than_k_exits_zero_with_warning(self, blob_csv, tmp_path):
         out = tmp_path / "warn"

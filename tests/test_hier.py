@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kernelhc import (
     CoreClusterSet,
+    GdkOps,
     IdkOps,
     RunConfig,
     datasets,
@@ -169,9 +174,10 @@ class TestRefine:
         _, ops = fitted_ops(X)
         cores = cores_from_lists([range(20), range(20, 40)], 40)
         labels, _ = assign_points(ops, cores)
-        refined, iterations = refine(ops, cores, labels)
+        refined, iterations, trace = refine(ops, cores, labels)
         assert iterations == 1
         assert np.array_equal(refined, labels)
+        assert trace["moved"] == [0] and trace["stop"] == "fixed point"  # n = 40: 1% of n is 0
 
     def test_boundary_flip_corrected_in_first_pass(self):
         X, _ = two_blobs(seed=29, n_per=20)
@@ -183,7 +189,7 @@ class TestRefine:
         own = ops.point_to_state(ops.group_state(np.nonzero(labels == 0)[0]))[5]
         other = ops.point_to_state(ops.group_state(np.nonzero(labels == 1)[0]))[5]
         assert own > other  # hand check: its kernel pulls it back
-        refined, _ = refine(ops, cores, wrong)
+        refined, _, _ = refine(ops, cores, wrong)
         assert refined[5] == 0
 
     def test_reassignment_with_fixed_states_never_decreases_total(self):
@@ -203,11 +209,129 @@ class TestRefine:
         _, ops = fitted_ops(X)
         cores = cores_from_lists([range(20), range(20, 40)], 40)
         labels, _ = assign_points(ops, cores)
-        _, iterations = refine(ops, cores, labels)
+        _, iterations, _ = refine(ops, cores, labels)
         assert iterations <= hier.REFINE_PASSES == 100
         monkeypatch.setattr(hier, "REFINE_PASSES", 0)
-        capped, iterations = refine(ops, cores, labels)
+        capped, iterations, trace = refine(ops, cores, labels)
         assert iterations == 0 and np.array_equal(capped, labels)
+        assert trace == {"tsc_local": [], "moved": [], "stop": "pass cap"}
+
+
+def refine_case(seed, kernel, k, drop):
+    """Uniform points, k random disjoint cores over half the rows, and random
+    starting labels; ``drop`` moves cluster 0's starting rows to cluster 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 300))
+    X = rng.uniform(0, 1, (n, 2))
+    ops = fitted_ops(X, psi=6, t=30, seed=seed)[1] if kernel == "idk" else GdkOps(X, 0.2)
+    cuts = np.sort(rng.choice(np.arange(1, n // 2), k - 1, replace=False))
+    cores = cores_from_lists(np.split(rng.permutation(n)[:n // 2], cuts), n)
+    labels = rng.integers(0, k, n)
+    if drop:
+        labels[labels == 0] = 1
+    return ops, cores, labels
+
+
+def replay(ops, cores, labels, cap):
+    """refine under a pass cap, and the labeling after each of its passes,
+    rerun with a lower cap; each tsc_local it reports must be a fresh
+    assignment_tsc_local of its labeling, bit for bit."""
+    with mock.patch.object(hier, "REFINE_PASSES", cap):
+        final, iterations, trace = refine(ops, cores, labels)
+    labelings = []
+    for p in range(iterations + 1):
+        with mock.patch.object(hier, "REFINE_PASSES", p):
+            labelings.append(refine(ops, cores, labels)[0])
+    assert np.array_equal(labelings[-1], final)
+    assert len(trace["moved"]) == iterations
+    assert trace["tsc_local"] == ([assignment_tsc_local(ops, lab, cores.k) for lab in labelings]
+                                  if iterations else [])
+    assert trace["moved"] == [int((b != a).sum()) for a, b in zip(labelings, labelings[1:])]
+    return trace, labelings
+
+
+# (kernel, seed, k, cap, drop) of a refine_case that takes each named path, kept as
+# examples of the property test. A cluster emptied in a scored labeling keeps its last
+# state, which the final labeling's readout must not reuse when the cluster refills.
+REFINE_PATHS = {
+    "unchanged at exit": [("idk", 0, 2, 100, False), ("gdk", 0, 4, 100, False)],
+    "changed at exit": [("idk", 0, 2, 100, True), ("gdk", 0, 2, 100, False)],
+    "emptied mid-refine": [("idk", 2, 6, 100, False), ("gdk", 3, 5, 100, False)],
+    "refilled at exit": [("idk", 0, 2, 1, True), ("gdk", 0, 2, 1, True)],
+    "pass cap 0": [("idk", 5, 3, 0, False), ("gdk", 5, 3, 0, False)],
+}
+
+
+RUN_PATHS = ("refine=False", "REFINE_PASSES = 0", "s == n, no pass", "passes")
+
+
+def with_examples(*cases):
+    def wrap(test):
+        for case in cases:
+            test = example(**case)(test)
+        return test
+    return wrap
+
+
+class TestRefineTrace:
+    """refine reads each labeling's objective off its own group states and
+    scores (ops.self_similarity), and the final one's off them with the moved
+    rows regrouped; every value equals a fresh readout."""
+
+    @settings(max_examples=60, deadline=None)
+    @with_examples(*(dict(zip(("kernel", "seed", "k", "cap", "drop"), case))
+                     for cases in REFINE_PATHS.values() for case in cases))
+    @given(kernel=st.sampled_from(["idk", "gdk"]), seed=st.integers(0, 2**20), k=st.integers(2, 6),
+           cap=st.sampled_from([0, 1, 2, 3, 100]), drop=st.booleans())
+    def test_every_objective_is_a_fresh_readout(self, kernel, seed, k, cap, drop):
+        replay(*refine_case(seed, kernel, k, drop), cap)
+
+    @pytest.mark.parametrize("path,case", [pytest.param(p, c, id=f"{p}-{c[0]}")
+                                           for p, cs in REFINE_PATHS.items() for c in cs])
+    def test_examples_reach_their_path(self, path, case):
+        kernel, seed, k, cap, drop = case
+        ops, cores, labels = refine_case(seed, kernel, k, drop)
+        trace, labelings = replay(ops, cores, labels, cap)
+        counts = [np.bincount(lab, minlength=k) for lab in labelings]
+        reached = {
+            "unchanged at exit": len(labelings) > 1 and trace["moved"][-1] == 0,
+            "changed at exit": len(labelings) > 1 and trace["moved"][-1] > 0,
+            "emptied mid-refine": any(((a > 0) & (b == 0)).any() for a, b in zip(counts, counts[1:-1])),
+            "refilled at exit": len(counts) > 1 and ((counts[-2] == 0) & (counts[-1] > 0)).any(),
+            "pass cap 0": trace == {"tsc_local": [], "moved": [], "stop": "pass cap"},
+        }
+        assert reached[path]
+
+    @settings(max_examples=16, deadline=None)
+    @with_examples(*(dict(kernel=kernel, seed=40, how=how) for kernel in ("idk", "gdk") for how in RUN_PATHS))
+    @given(kernel=st.sampled_from(["idk", "gdk"]), seed=st.integers(0, 2**20),
+           how=st.sampled_from(RUN_PATHS))
+    def test_run_reads_before_and_after_off_the_trace(self, kernel, seed, how):
+        X, _ = two_blobs(seed=seed, n_per=60)
+        cfg = RunConfig(k=2, psi=4, t=40, s=60, seed=3, kernel=kernel, bandwidth=1.0)
+        if how == "refine=False":
+            cfg.refine = False
+        elif how == "s == n, no pass":
+            cfg.s, cfg.clusterer = len(X), "kmeans"  # k-means cores cover every row
+        with mock.patch.object(hier, "REFINE_PASSES", 0 if how == "REFINE_PASSES = 0" else 100):
+            res = run(X, cfg)
+        trace = res.refine_trace
+        assigned, _ = assign_points(res.ops, res.cores)
+        assert trace["tsc_local"][0] == assignment_tsc_local(res.ops, assigned, res.k) == res.tsc_trace[0]
+        assert trace["tsc_local"][-1] == assignment_tsc_local(res.ops, res.assignments, res.k) == res.tsc_trace[1]
+        assert len(trace["tsc_local"]) == res.iterations + 1 == len(trace["moved"]) + 1
+        assert (res.iterations == 0) == (how != "passes")
+        assert trace["stop"] == {"refine=False": None, "REFINE_PASSES = 0": "pass cap"}.get(how, "moved < 1% of n")
+
+    def test_found_a_pass_can_lower_tsc(self):
+        # FOUND (ROADMAP item 16): refine moves a point to argmax <phi_i, mu_j>, not to the
+        # kernel k-means argmax 2 <phi_i, mu_j> - |mu_j|^2, so a pass can lower TSC. Here, on
+        # 200 uniform points in [0, 1], both passes do, and the run ends below where it began.
+        X = np.random.default_rng(2).uniform(0, 1, (200, 1))
+        res = run(X, RunConfig(k=4, psi=10, t=50, s=100, seed=2))
+        tsc = res.refine_trace["tsc_local"]
+        assert res.k == 2 and res.refine_trace["moved"] == [2, 2, 0]
+        assert tsc[2] < tsc[1] < tsc[0] and res.tsc_trace == (tsc[0], tsc[3])
 
 
 class TestRun:
