@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .ikernel import _check_matrix
@@ -87,8 +88,8 @@ def kpskc(ops, k: int, tau: float, rho: float) -> CoreClusterSet:
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     m = ops.n
@@ -233,59 +234,38 @@ def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int) -> CoreClusterSet
 
     The neighborhood of x is every point whose point-kernel similarity to x
     is at least ``eps_sim`` (x itself included): a row of ``ops.neighbors``.
-    Clusters are ranked by size and only the k largest kept; the rest joins
-    the noise set. The search expands each popped core point's unlabelled
-    neighbours in ascending row order. Memory is O(s + ε-pairs) for s points,
-    plus one row block of the graph per worker thread: no s × s array.
+    The clusters are the connected components of the core points (those with
+    at least ``min_pts`` neighbours), numbered by each one's smallest core row.
+    A border point joins the lowest-numbered cluster among its core neighbours;
+    any other point, such as one no isolation cell covers (an empty row), is
+    noise. The k largest clusters are kept, ties to the lower number, and the
+    rest join the noise. Memory is O(s + ε-pairs) for s points, plus one row
+    block of the graph per worker thread: no s × s array.
     """
-    if eps_sim <= 0:
-        raise ValueError(f"eps_sim must be positive, got {eps_sim}")
+    if not 0 < eps_sim < np.inf:
+        raise ValueError(f"eps_sim must be positive and finite, got {eps_sim}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     m = ops.n
     if m == 0:
         raise ValueError("cannot cluster an empty subset")
     graph = ops.neighbors(eps_sim)
-    indptr, indices = graph.indptr, graph.indices
-    is_core = np.diff(indptr) >= min_pts
-    if not np.any(is_core):
-        return CoreClusterSet(
-            clusters=[],
-            noise=np.arange(m),
-            subset_indices=np.arange(m),
-            warnings=["no core point found"],
-        )
+    degree = np.diff(graph.indptr)
+    is_core = degree >= min_pts
+    found, comp = connected_components(graph[is_core][:, is_core], directed=False)
+    first = np.unique(comp, return_index=True)[1]  # each component's smallest core row, as a core rank
+    labels = np.full(m, found)  # found: in no cluster
+    labels[is_core] = np.argsort(np.argsort(first))[comp]  # scipy does not document its numbering
+    # each row's lowest core label; the sentinel pads trailing empty rows, and all empty rows are masked
+    near = np.minimum.reduceat(np.append(labels[graph.indices], found), graph.indptr[:-1])
+    labels = np.where(is_core, labels, np.where(degree > 0, near, found))
 
-    labels = np.full(m, -1, dtype=np.int64)
-    cid = 0
-    for i in range(m):
-        if labels[i] != -1 or not is_core[i]:
-            continue
-        queue = [i]
-        labels[i] = cid
-        while queue:
-            p = queue.pop()
-            if not is_core[p]:
-                continue
-            near = indices[indptr[p]:indptr[p + 1]]
-            near = near[labels[near] == -1]
-            labels[near] = cid
-            queue += near.tolist()
-        cid += 1
-
-    clusters = [np.nonzero(labels == j)[0] for j in range(cid)]
-    order = sorted(range(cid), key=lambda j: (-len(clusters[j]), j))
-    kept = [clusters[j] for j in order[:k]]
-    dropped = [clusters[j] for j in order[k:]]
-    noise = np.nonzero(labels == -1)[0]
-    if dropped:
-        noise = np.sort(np.concatenate([noise] + dropped))
-    warnings = []
-    if cid < k:
-        warnings.append(f"found {cid} density clusters, fewer than the requested {k}")
+    kept = np.argsort(-np.bincount(labels, minlength=found + 1)[:found], kind="stable")[:k]
+    warnings = (["no core point found"] if found == 0 else
+                [f"found {found} density clusters, fewer than the requested {k}"] if found < k else [])
     return CoreClusterSet(
-        clusters=kept,
-        noise=noise,
+        clusters=[np.flatnonzero(labels == j) for j in kept],
+        noise=np.flatnonzero(~np.isin(labels, kept)),
         subset_indices=np.arange(m),
         warnings=warnings,
     )

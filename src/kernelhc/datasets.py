@@ -231,11 +231,14 @@ def load_csv(path, label_column: str | None = None) -> LabeledDataset:
                     raise CsvParseError(path, r, c + 1, f"not a number: {cell!r}") from None
             rows.append(vals)
             if label_idx is not None:
-                try:
-                    labels.append(int(float(rec[label_idx])))
+                try:  # a finite integral number, such as 1 or 1.0, within int64
+                    label = float(rec[label_idx])
+                    if not (label.is_integer() and abs(label) < 2**63):
+                        raise ValueError(label)
+                    labels.append(int(label))
                 except ValueError:
                     raise CsvParseError(path, r, label_idx + 1,
-                                        f"bad label: {rec[label_idx]!r}") from None
+                                        f"bad label: {rec[label_idx]!r}, not an integer") from None
     if not rows:
         raise CsvParseError(path, 2, 1, "no data rows")
     return LabeledDataset(

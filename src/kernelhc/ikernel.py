@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import weakref
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -378,16 +379,16 @@ class IsolationModel:
 
     @classmethod
     def load(cls, path) -> "IsolationModel":
-        with np.load(path, allow_pickle=False) as f:
-            try:
+        try:  # a missing field, a field that is no scalar, or a file cut short
+            with np.load(path, allow_pickle=False) as f:
                 if str(f["format"]) != MODEL_FORMAT:
                     raise ValueError(f"not an isolation model file: {path}")
                 if int(f["version"]) != MODEL_VERSION:
                     raise ValueError(f"unsupported model version {int(f['version'])}")
                 centers, radii, psi, t = f["centers"], f["radii"], int(f["psi"]), int(f["t"])
                 seed = int(f["seed"])
-            except KeyError as e:
-                raise ValueError(f"{path}: malformed model file: {e}") from e
+        except (KeyError, TypeError, EOFError, zipfile.BadZipFile) as e:
+            raise ValueError(f"{path}: malformed model file: {e}") from e
         if psi < 2 or t < 1:
             raise ValueError(f"{path}: needs psi >= 2 and t >= 1, got psi={psi}, t={t}")
         if centers.ndim != 3 or centers.shape[:2] != (t, psi) or radii.shape != (t, psi):
@@ -598,17 +599,16 @@ class IdkOps:
 
     def neighbors(self, eps: float) -> sparse.csr_matrix:
         """The pairs whose point kernel (shared cells / t) is >= eps, as an
-        (n, n) boolean CSR matrix with sorted rows: each row block (_row_blocks)
-        of onehot Phi's sparse product with onehot^T, kept where its entry / t
-        is >= eps. An entry is pairwise()'s shared-cell count divided by t, the
-        same float, and a pair sharing no cell is never kept while eps > 0."""
+        (n, n) boolean CSR matrix: each row block (_row_blocks) of onehot Phi's
+        sparse product with onehot^T, kept where its entry / t is >= eps. An
+        entry is pairwise()'s shared-cell count divided by t, the same float,
+        and a pair sharing no cell is never kept while eps > 0."""
         right = self.onehot.T.tocsr()
 
         def block(lo, hi, _):  # thresholded in place: the entries below eps become False, then go
             near = self.onehot[lo:hi] @ right
             near.data = near.data / self.t >= eps
             near.eliminate_zeros()
-            near.sort_indices()
             return near
         return sparse.vstack(_row_blocks(self.n, self.n, block), format="csr")
 
@@ -622,8 +622,8 @@ class GdkOps:
     """Gaussian-kernel backend; group similarities are exact double sums."""
 
     def __init__(self, X: np.ndarray, bandwidth: float):
-        if bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 < bandwidth < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
         self.X = _check_matrix(X, "X")
         self.bandwidth = float(bandwidth)
 
@@ -683,9 +683,9 @@ class GdkOps:
 
     def neighbors(self, eps: float) -> sparse.csr_matrix:
         """The pairs whose point kernel is >= eps, as an (n, n) boolean CSR
-        matrix with sorted rows: each row block (_row_blocks) of kernel values,
-        thresholded into a mask, both in buffers made on the calling thread.
-        Each value is pairwise()'s, as cdist reads only its own pair of rows."""
+        matrix: each row block (_row_blocks) of kernel values, thresholded into
+        a mask, both in buffers made on the calling thread. Each value is
+        pairwise()'s, as cdist reads only its own pair of rows."""
         n = self.n
 
         def block(lo, hi, buf):

@@ -277,6 +277,30 @@ class TestCluster:
         assert capsys.readouterr().err.startswith(f"error: {named} must be")
         assert not (tmp_path / "o" / "tree.json").exists()
 
+    @pytest.mark.parametrize("flags, named", [(["--kernel", "gdk", "--bandwidth", "nan"], "bandwidth"),
+                                              (["--kernel", "gdk", "--bandwidth", "inf"], "bandwidth"),
+                                              (["--tau", "nan"], "tau"), (["--tau", "inf"], "tau"),
+                                              (["--clusterer", "ik-dbscan", "--eps-sim", "nan"], "eps_sim"),
+                                              (["--clusterer", "ik-dbscan", "--eps-sim", "inf"], "eps_sim")])
+    def test_non_finite_parameter_exits_2(self, blob_csv, tmp_path, capsys, flags, named):
+        # nan slips past a bare x <= 0 check, and at bandwidth inf every Gaussian kernel value is 1
+        capsys.readouterr()
+        assert main(["cluster", "--in", str(blob_csv), "--k", "2", "--subset-size", "60",
+                     "--out-dir", str(tmp_path / "o"), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {named} must be")
+        assert not (tmp_path / "o" / "tree.json").exists()
+
+    @pytest.mark.parametrize("label", ["inf", "1.5"])
+    def test_non_integral_label_exits_2(self, blob_csv, tmp_path, capsys, label):
+        # int() of inf overflows (exit 1) and of 1.5 truncates to class 1
+        lines = blob_csv.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + f",{label}"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(cluster_args(bad, tmp_path / "o")) == 2
+        assert "row 4, column 3: bad label" in capsys.readouterr().err
+
     def test_invalid_flag_value_exits_2(self, blob_csv, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(cluster_args(blob_csv, tmp_path / "o", "--algo", "wrong"))
@@ -390,16 +414,22 @@ class TestEval:
             assert capsys.readouterr().err.startswith("error: "), case
 
     def test_invalid_model_exits_2(self, blob_csv, tmp_path, capsys):
-        # a model file whose psi disagrees with its centers, with NaN radii, or without radii
+        # a model file whose psi disagrees with its centers, with NaN radii, without radii,
+        # whose psi is no scalar, or cut short
         out = tmp_path / "run"
         main(cluster_args(blob_csv, out))
         model = IsolationModel.load(out / "model.npz")
         for name, fields in (("psi", {"psi": model.psi + 1}),
                              ("nan", {"radii": np.full_like(model.radii, np.nan)}),
-                             ("missing", {"radii": None})):
+                             ("missing", {"radii": None}),
+                             ("psi_array", {"psi": np.array([model.psi] * 2)}),
+                             ("cut", None)):
             bad = tmp_path / f"{name}.npz"
-            with np.load(out / "model.npz") as saved:
-                np.savez(bad, **{key: val for key, val in {**saved, **fields}.items() if val is not None})
+            if fields is None:
+                bad.write_bytes((out / "model.npz").read_bytes()[:100])
+            else:
+                with np.load(out / "model.npz") as saved:
+                    np.savez(bad, **{key: val for key, val in {**saved, **fields}.items() if val is not None})
             capsys.readouterr()
             assert main(["eval", "--tree", str(out / "tree.json"), "--metrics", "tsc",
                          "--in", str(blob_csv), "--model", str(bad)]) == 2, name

@@ -18,7 +18,7 @@ from kernelhc import (
 )
 from kernelhc.corecluster import _lloyd
 from kernelhc.hier import assign_points
-from kernelhc.ikernel import GdkOps
+from kernelhc.ikernel import GdkOps, IsolationModel
 
 from conftest import oracle_ik_dbscan, oracle_point_vector, rng_data, two_blobs
 
@@ -204,6 +204,8 @@ class TestKpskc:
         {"k": 2, "tau": 0.0, "rho": 0.1},
         {"k": 2, "tau": 0.1, "rho": 0.0},
         {"k": 2, "tau": 0.1, "rho": 1.0},
+        {"k": 2, "tau": np.nan, "rho": 0.1},
+        {"k": 2, "tau": np.inf, "rho": 0.1},
     ])
     def test_bad_parameters_rejected(self, kw):
         X, _ = two_blobs(seed=6, n_per=5)
@@ -402,12 +404,50 @@ class TestIkDbscan:
         assert cores.k == 0
         assert cores.warnings
 
-    @pytest.mark.parametrize("eps_sim, min_pts", [(0.0, 3), (-0.2, 3), (0.3, 0), (0.3, -1)])
+    @pytest.mark.parametrize("eps_sim, min_pts", [(0.0, 3), (-0.2, 3), (np.nan, 3), (np.inf, 3), (0.3, 0), (0.3, -1)])
     def test_invalid_eps_or_min_pts_rejected(self, eps_sim, min_pts):
         # eps_sim 0 would make every pair a neighbour: one cluster, from an s x s graph
         _, ops = blob_ops(rng_data(3, n=20))
-        with pytest.raises(ValueError, match="eps_sim" if eps_sim <= 0 else "min_pts"):
+        with pytest.raises(ValueError, match="min_pts" if eps_sim == 0.3 else "eps_sim"):
             ik_dbscan_cores(ops, eps_sim=eps_sim, min_pts=min_pts, k=2)
+
+    @staticmethod
+    def line_ops(kind, xs):
+        """Points at xs on a line, under a kernel whose eps_sim 0.5 neighbours
+        are the points at distance <= 1 (they sit on integers)."""
+        X = np.column_stack([xs, np.zeros(len(xs))]).astype(float)
+        if kind == "gdk":
+            return GdkOps(X, bandwidth=1.0)  # K is 0.61 at distance 1, 0.14 at 2
+        # three partitionings into cells 3 wide, offset by 1: K is 2/3 at distance 1, 1/3 at 2
+        centers = np.array([[[c, 0.0] for c in range(j, j + 12, 3)] for j in range(3)], dtype=float)
+        return IdkOps.fit(IsolationModel(centers=centers, radii=np.ones((3, 4)), psi=4, t=3, seed=0), X)
+
+    @pytest.mark.parametrize("kind", ["idk", "gdk"])
+    @pytest.mark.parametrize("first", [[1, 2, 2, 3], [5, 6, 6, 7]])
+    def test_border_point_joins_the_cluster_of_the_lower_first_core_row(self, kind, first):
+        # clusters 1, 2, 2, 3 and 5, 6, 6, 7 under min_pts 4; the point at 4 has
+        # three neighbours, the cores at 3 and 5 of both clusters among them
+        xs = [4] + first + [x for x in [1, 2, 2, 3, 5, 6, 6, 7] if x not in first]
+        cores = ik_dbscan_cores(self.line_ops(kind, xs), eps_sim=0.5, min_pts=4, k=2)
+        assert [c.tolist() for c in cores.clusters] == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+        assert cores.noise.size == 0
+
+    @pytest.mark.parametrize("kind", ["idk", "gdk"])
+    def test_equal_sizes_keep_the_cluster_of_the_lower_first_core_row(self, kind):
+        # two clusters of 4 under min_pts 4: the one at 5-7 holds row 0, but its
+        # first core row (3) comes after the first core row (2) of the one at 1-3
+        xs = [5, 1, 2, 6, 6, 7, 2, 3]
+        cores = ik_dbscan_cores(self.line_ops(kind, xs), eps_sim=0.5, min_pts=4, k=1)
+        assert [c.tolist() for c in cores.clusters] == [[1, 2, 6, 7]]
+        assert cores.noise.tolist() == [0, 3, 4, 5]
+
+    def test_point_no_cell_covers_is_noise_even_at_min_pts_1(self):
+        ops = self.line_ops("idk", [1, 2, 3, 100])
+        assert ops.neighbors(0.5)[3].nnz == 0  # not its own neighbour
+        cores = ik_dbscan_cores(ops, eps_sim=0.5, min_pts=1, k=2)
+        assert [c.tolist() for c in cores.clusters] == [[0, 1, 2]]
+        assert cores.noise.tolist() == [3]
+        assert cores.warnings == ["found 1 density clusters, fewer than the requested 2"]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), kind=st.sampled_from(["idk", "gdk"]),

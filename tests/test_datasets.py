@@ -113,6 +113,18 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="row 3, column 2"):
             load_csv(path)
 
+    @pytest.mark.parametrize("label, want", [("1", 1), ("1.0", 1), ("-2.0", -2), ("1.5", None), ("inf", None),
+                                             ("nan", None), ("1e300", None), ("one", None)])
+    def test_label_must_be_an_integer(self, tmp_path, label, want):
+        # 1.5 is no class, and inf, nan and 1e300 have no int64 value
+        path = tmp_path / "labels.csv"
+        path.write_text(f"x0,label\n1.0,0\n3.0,{label}\n")
+        if want is None:
+            with pytest.raises(CsvParseError, match="row 3, column 2"):
+                load_csv(path, label_column="label")
+        else:
+            assert load_csv(path, label_column="label").labels.tolist() == [0, want]
+
     def test_missing_label_column_rejected(self, tmp_path):
         path = tmp_path / "nolabel.csv"
         path.write_text("x0,x1\n1.0,2.0\n")

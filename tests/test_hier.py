@@ -433,7 +433,7 @@ class TestRun:
             run(X, RunConfig(k=2, clusterer="nope"))
         with pytest.raises(ValueError):
             run(X, RunConfig(k=2, s=10**6))
-        for bad in ({"eps_sim": 0.0}, {"eps_sim": -0.1}, {"min_pts": 0}):
+        for bad in ({"eps_sim": 0.0}, {"eps_sim": -0.1}, {"eps_sim": np.nan}, {"eps_sim": np.inf}, {"min_pts": 0}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 run(X, RunConfig(k=2, clusterer="ik-dbscan", **bad))
 

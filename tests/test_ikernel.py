@@ -142,6 +142,18 @@ class TestFitModel:
         with pytest.raises(ValueError, match=r"psi|t=|centers|radii"):
             IsolationModel.load(path)
 
+    @pytest.mark.parametrize("cut", [None, 0, 100])
+    def test_load_rejects_malformed_file(self, small_model, tmp_path, cut):
+        # cut None: a psi that is no scalar; else the model file cut to that many bytes
+        path = tmp_path / "bad.npz"
+        if cut is None:
+            save_model_fields(path, small_model, psi=[small_model.psi] * 2)
+        else:
+            small_model.save(path)
+            path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="malformed model file"):
+            IsolationModel.load(path)
+
 
 class TestEmbedPoint:
     """Single rows of the feature matrix."""
@@ -1210,8 +1222,9 @@ class TestGdk:
         assert ops.set_similarity(a, b) == pytest.approx(oracle_gdk(X, Y, 0.9), abs=1e-12)
 
     def test_nonpositive_bandwidth_rejected(self):
+        # nan and inf too: at inf every kernel value is 1, at nan every one is nan
         X = rng_data(1, n=3)
-        for bandwidth in (0.0, -1.0):
+        for bandwidth in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="bandwidth"):
                 GdkOps(X, bandwidth)
 
@@ -1305,8 +1318,8 @@ class TestGdk:
 
 
 class TestNeighbors:
-    """neighbors(eps) is the graph pairwise() >= eps, as a boolean CSR matrix
-    with sorted rows, whatever the workers and blocks that build it."""
+    """neighbors(eps) is the graph pairwise() >= eps, as a boolean CSR matrix,
+    whatever the workers and blocks that build it."""
 
     @staticmethod
     def backend(kind):
@@ -1334,7 +1347,6 @@ class TestNeighbors:
                 for eps in grid:
                     graph = ops.neighbors(eps)
                     assert graph.dtype == bool and graph.shape == K.shape
-                    assert graph.has_sorted_indices, (workers, block, eps)
                     assert graph.data.all(), (workers, block, eps)  # no stored False
                     assert np.array_equal(graph.toarray(), K >= eps), (workers, block, eps)
         assert set(pool_spy) == {2, 8}
