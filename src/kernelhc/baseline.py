@@ -93,7 +93,6 @@ def _to_dendrogram(leaves: dict, children: dict, split_order: list) -> Dendrogra
         ids = build(left, first)
         ids += build(right, first + len(ids))
         nodes[nid] = Node(id=nid, cluster_ids=ids, left=left, right=right)
-        nodes[left].parent = nodes[right].parent = nid
         return ids
 
     build(0, 0)

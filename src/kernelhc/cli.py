@@ -151,7 +151,8 @@ def cmd_cluster(args) -> int:
         warnings.extend(result.warnings)
         timings.update(result.timings)
         model = result.model
-        extra = {"k_effective": result.k, "iterations": result.iterations, "refine": result.refine_trace,
+        trace = result.refine_trace
+        extra = {"k_effective": result.k, "iterations": len(trace["moved"]), "refine": trace,
                  "zero_ties": [{"node": rec["node"], "zero_ties": rec["zero_ties"]}
                                for rec in tree.split_records]}
         dendro.annotate_alphas(tree, result.ops)
@@ -165,8 +166,8 @@ def cmd_cluster(args) -> int:
             extra["kpskc"] = {"growth_steps": [len(g) for g in meta["gamma_traces"]],
                               "scored_sets": meta["scored_sets"],
                               "members": result.cores.sizes().tolist()}
-        metric_values["tsc_local_before_refine"] = result.tsc_trace[0]
-        metric_values["tsc_local_after_refine"] = result.tsc_trace[1]
+        metric_values["tsc_local_before_refine"] = trace["tsc_local"][0]
+        metric_values["tsc_local_after_refine"] = trace["tsc_local"][-1]
     timings["total"] = time.perf_counter() - t0
 
     outputs["tree_json"] = out / "tree.json"

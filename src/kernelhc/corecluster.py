@@ -7,8 +7,8 @@ one at a time from a kernel-density seed under a geometrically decaying
 similarity threshold; k-means and a kernel-neighborhood DBSCAN are provided
 as drop-in alternatives for ablations.
 
-All finders work in subset-local row indices and return ``subset_indices``
-as ``np.arange(m)``; ``hier.run`` sets it to the subset's full-dataset rows.
+Every finder returns rows of the data or backend it was given, the subset;
+``hier.run`` maps them to full-dataset rows once, when the cores stage ends.
 """
 
 from __future__ import annotations
@@ -24,21 +24,16 @@ from .ikernel import _check_matrix
 
 @dataclass
 class CoreClusterSet:
-    """Disjoint core clusters plus leftovers, over a subset of the data."""
+    """Disjoint core clusters plus leftovers, found on a subset of the data."""
 
-    clusters: list  # list of np.ndarray, subset-local row indices
+    clusters: list  # list of np.ndarray: a finder's input rows; full-dataset rows in RunResult.cores
     noise: np.ndarray
-    subset_indices: np.ndarray
     warnings: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)  # diagnostics
 
     @property
     def k(self) -> int:
         return len(self.clusters)
-
-    def full_rows(self, j: int) -> np.ndarray:
-        """Full-dataset row indices of cluster j."""
-        return self.subset_indices[self.clusters[j]]
 
     def sizes(self) -> np.ndarray:
         return np.array([len(c) for c in self.clusters], dtype=np.int64)
@@ -151,7 +146,6 @@ def kpskc(ops, k: int, tau: float, rho: float) -> CoreClusterSet:
     return CoreClusterSet(
         clusters=clusters,
         noise=remaining,
-        subset_indices=np.arange(m),
         warnings=warnings,
         meta={"gamma_traces": gamma_traces, "scored_sets": scored_sets},
     )
@@ -224,7 +218,6 @@ def kmeans_cores(subset: np.ndarray, k: int, restarts: int, seed: int) -> CoreCl
     return CoreClusterSet(
         clusters=[np.nonzero(labels == j)[0] for j in range(k)],
         noise=np.empty(0, dtype=np.int64),
-        subset_indices=np.arange(m),
         meta={"sse": sse},
     )
 
@@ -266,6 +259,5 @@ def ik_dbscan_cores(ops, eps_sim: float, min_pts: int, k: int) -> CoreClusterSet
     return CoreClusterSet(
         clusters=[np.flatnonzero(labels == j) for j in kept],
         noise=np.flatnonzero(~np.isin(labels, kept)),
-        subset_indices=np.arange(m),
         warnings=warnings,
     )

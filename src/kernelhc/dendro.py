@@ -46,6 +46,9 @@ class Dendrogram:
 
     def __init__(self, nodes: dict, root: int, split_order: list):
         self.nodes = nodes
+        for node in nodes.values():
+            if not node.is_leaf:
+                nodes[node.left].parent = nodes[node.right].parent = node.id
         self.root = root
         self.split_order = list(split_order)
         self.split_records = []  # per split, filled by hier.build_tree
@@ -201,9 +204,6 @@ class Dendrogram:
                     node.left, node.right = rec["children"]
                 nodes[node.id] = node
             tree = cls(nodes=nodes, root=obj["root"], split_order=obj["split_order"])
-            for node in nodes.values():
-                if not node.is_leaf:
-                    nodes[node.left].parent = nodes[node.right].parent = node.id
             tree.validate()
         except (KeyError, TypeError, AssertionError) as e:
             raise ValueError(f"malformed dendrogram: {e!r}") from e
@@ -418,7 +418,6 @@ def single_linkage_tree(M: np.ndarray) -> Dendrogram:
             left=na,
             right=nb,
         )
-        nodes[na].parent = nodes[nb].parent = nid
         merge_order.append(nid)
         link[ra] = np.maximum(link[ra], link[rb])
         link[:, ra] = link[ra]

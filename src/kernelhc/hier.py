@@ -1,9 +1,9 @@
 """End-to-end divisive hierarchical clustering.
 
 The pipeline runs in five stages: fit the kernel over the full dataset,
-find core clusters on a seeded subset, build a binary tree over the core
-clusters (divisively by default, agglomeratively on request), assign every
-point to its most similar core cluster, and optionally refine those
+find core clusters on a seeded subset (in full-dataset rows), build a binary
+tree over them (divisively by default, agglomeratively on request), assign
+every point to its most similar core cluster, and optionally refine those
 assignments until they stop moving. The finalized tree's leaves then hold
 all points, not just the subset.
 
@@ -66,10 +66,17 @@ class RunConfig:
             raise ValueError(f"unknown tree method {self.tree_method!r}")
         if self.s is not None and not 2 <= self.s <= n:
             raise ValueError(f"subset size must be in [2, {n}], got {self.s}")
-        if not 0 < self.eps_sim < np.inf:  # at 0 every pair would be a neighbour: one cluster, from an s x s graph
-            raise ValueError(f"eps_sim must be positive and finite, got {self.eps_sim}")
-        if self.min_pts < 1:
-            raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
+        # each stage's own check, in its words, made before the kernel is fitted; at
+        # eps_sim 0 every pair would be a neighbour: one cluster, from an s x s graph
+        for name, ok, want in (("tau", 0 < self.tau < np.inf, "positive and finite"),
+                               ("rho", 0.0 < self.rho < 1.0, "in (0, 1)"),
+                               ("bandwidth", self.bandwidth is None or 0 < self.bandwidth < np.inf,
+                                "positive and finite"),
+                               ("eps_sim", 0 < self.eps_sim < np.inf, "positive and finite"),
+                               ("min_pts", self.min_pts >= 1, ">= 1"),
+                               ("restarts", 1 <= self.restarts < np.inf, ">= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
 
     def subset_size(self, n: int) -> int:
         return min(n, 2000) if self.s is None else self.s
@@ -83,9 +90,7 @@ class RunResult:
     assignments: np.ndarray  # per-point core-cluster ID
     cores: corecluster.CoreClusterSet
     k: int  # effective leaf count (may be below the requested k)
-    iterations: int
-    tsc_trace: tuple  # (tsc_local before refinement, after)
-    refine_trace: dict  # refine's tsc_local per labeling, points moved per pass, stop reason
+    refine_trace: dict  # tsc_local per labeling (first: before refine, last: after), points moved per pass, stop reason
     orphans: int  # points with zero similarity to every cluster
     warnings: list
     timings: dict
@@ -100,7 +105,7 @@ class RunResult:
 
 
 def build_tree(cores: corecluster.CoreClusterSet, ops) -> dendro.Dendrogram:
-    """Divisive tree over core clusters (unfinalized).
+    """Divisive tree over core clusters, rows of ``ops`` (unfinalized).
 
     Every multi-cluster leaf is split by its two largest clusters (by point
     count, ties to the smaller ID): each remaining cluster joins the anchor
@@ -141,10 +146,7 @@ def assign_points(ops, cores: corecluster.CoreClusterSet):
     Ties go to the smallest cluster index. Points with zero similarity to
     every cluster land in cluster 0 and are counted as orphans.
     """
-    scores = np.column_stack(
-        [ops.point_to_state(ops.group_state(cores.full_rows(j)))
-         for j in range(cores.k)]
-    )
+    scores = np.column_stack([ops.point_to_state(ops.group_state(rows)) for rows in cores.clusters])
     labels = scores.argmax(axis=1)
     orphans = int((scores.max(axis=1) == 0.0).sum())
     return labels.astype(np.int64), orphans
@@ -166,9 +168,9 @@ def refine(ops, cores: corecluster.CoreClusterSet, labels: np.ndarray):
     k = cores.k
     delta = math.floor(n * 0.01)
     prev = np.full(n, -1, dtype=np.int64)
-    for j in range(k):
-        prev[cores.full_rows(j)] = j
-    states = [ops.group_state(cores.full_rows(j)) for j in range(k)]
+    for j, rows in enumerate(cores.clusters):
+        prev[rows] = j
+    states = [ops.group_state(rows) for rows in cores.clusters]
     labels = np.asarray(labels, dtype=np.int64)
     iterations, tsc, moved = 0, [], []
     while True:
@@ -221,7 +223,8 @@ def make_ops(data: np.ndarray, config: RunConfig, model_seed: int):
 
 
 def run(data: np.ndarray, config: RunConfig) -> RunResult:
-    """Full pipeline; deterministic given (data, config.seed)."""
+    """Full pipeline; deterministic given (data, config.seed). Only the core
+    finders see the subset: every later stage reads full-dataset rows."""
     data = np.asarray(data, dtype=np.float64)
     n = data.shape[0]
     config.validate(n)
@@ -236,14 +239,14 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
 
     t0 = time.perf_counter()
     subset, idx = corecluster.select_subset(data, s, int(seeds[1]))
-    ops_sub = ops.take(idx)
     if config.clusterer == "kpskc":
-        cores = corecluster.kpskc(ops_sub, config.k, config.tau, config.rho)
+        cores = corecluster.kpskc(ops.take(idx), config.k, config.tau, config.rho)
     elif config.clusterer == "kmeans":
         cores = corecluster.kmeans_cores(subset, config.k, config.restarts, int(seeds[2]))
     else:
-        cores = corecluster.ik_dbscan_cores(ops_sub, config.eps_sim, config.min_pts, config.k)
-    cores.subset_indices = idx
+        cores = corecluster.ik_dbscan_cores(ops.take(idx), config.eps_sim, config.min_pts, config.k)
+    # subset rows to full-dataset rows: a row of Phi, or of X, is the same row in both backends
+    cores.clusters, cores.noise = [idx[rows] for rows in cores.clusters], idx[cores.noise]
     warnings.extend(cores.warnings)
     timings["cores"] = time.perf_counter() - t0
 
@@ -256,9 +259,9 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
     if cores.k == 1:
         tree = dendro.Dendrogram.seed([0])
     elif config.tree_method == "ahc":
-        tree = dendro.ahc_build(cores, ops_sub)
+        tree = dendro.ahc_build(cores, ops)
     else:
-        tree = build_tree(cores, ops_sub)
+        tree = build_tree(cores, ops)
     timings["tree"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -269,9 +272,9 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
 
     t0 = time.perf_counter()
     if config.refine:
-        labels, iterations, trace = refine(ops, cores, labels)
+        labels, _, trace = refine(ops, cores, labels)
     else:
-        iterations, trace = 0, {"tsc_local": [], "moved": [], "stop": None}
+        trace = {"tsc_local": [], "moved": [], "stop": None}
     if not trace["tsc_local"]:  # refine scored nothing: the labeling is assign's
         trace["tsc_local"].append(assignment_tsc_local(ops, labels, cores.k))
     timings["refine"] = time.perf_counter() - t0
@@ -283,8 +286,6 @@ def run(data: np.ndarray, config: RunConfig) -> RunResult:
         assignments=labels,
         cores=cores,
         k=cores.k,
-        iterations=iterations,
-        tsc_trace=(trace["tsc_local"][0], trace["tsc_local"][-1]),
         refine_trace=trace,
         orphans=orphans,
         warnings=warnings,

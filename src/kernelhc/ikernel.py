@@ -493,11 +493,15 @@ def _pack_cells(cells: np.ndarray, psi: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Kernel backends
 #
-# The clustering pipeline only ever needs six queries; both kernels expose
-# them behind the same duck-typed surface so the ablation is a constructor
-# swap. A "group state" is whatever the backend caches for one cluster: the
-# integer cell counts and size for the isolation kernel, the member rows for
-# the Gaussian one (whose feature space is infinite dimensional).
+# Both kernels expose one duck-typed surface of eleven members, so the ablation
+# is a constructor swap. The pipeline reads n, take (for kpskc and
+# ik_dbscan_cores), group_state, regroup, point_to_state, point_row, gram,
+# self_similarity and neighbors; the tsc readouts of dendro.total_similarity
+# read set_similarity. pairwise stays for the tests, as the oracle of
+# neighbors, and for the benchmark's tracer. A "group state" is whatever the
+# backend caches for one cluster: the integer cell counts and size for the
+# isolation kernel, the member rows for the Gaussian one (whose feature space
+# is infinite dimensional).
 # ---------------------------------------------------------------------------
 
 class IdkOps:

@@ -53,11 +53,10 @@ class TestClustererChoice:
 
 class TestLinkageThreshold:
     def test_splits_stay_under_tau_and_agglomeration_agrees(self, analog, tuned_run):
-        # rebuild the subset kernel backend from the run's own artifacts
+        # the run's own core clusters, in full-data rows, under its full-data backend
         cores = tuned_run.cores
-        ops_sub = tuned_run.feats.take(cores.subset_indices)
         tau = PAPER_ANALOG_TUNED["tau"]
-        M = ops_sub.gram(cores.clusters)
+        M = tuned_run.ops.gram(cores.clusters)
         for node in tuned_run.tree.nodes.values():
             if node.is_leaf:
                 continue
@@ -65,7 +64,7 @@ class TestLinkageThreshold:
             right = tuned_run.tree.nodes[node.right].cluster_ids
             cross = max(M[i, j] for i in left for j in right)
             assert cross <= tau
-        agg = ahc_build(cores, ops_sub)
+        agg = ahc_build(cores, tuned_run.ops)
         assert topology_equal(tuned_run.tree, agg)
 
 

@@ -228,9 +228,8 @@ class TestKpskc:
         remap = -np.ones(len(X), dtype=int)
         remap[kept] = np.arange(len(kept))
         cores2 = CoreClusterSet(
-            clusters=[remap[cores.subset_indices[c]] for c in cores.clusters],
+            clusters=[remap[c] for c in cores.clusters],
             noise=np.empty(0, dtype=int),
-            subset_indices=np.arange(len(kept)),
         )
         labels_kept, _ = assign_points(ops2, cores2)
         assert np.array_equal(labels_full[kept], labels_kept)

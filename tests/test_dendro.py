@@ -8,6 +8,7 @@ from kernelhc import (
     IdkOps,
     RunConfig,
     ahc_build,
+    bisect_kmeans,
     dendrogram_purity,
     fit_isolation_model,
     kpskc,
@@ -19,6 +20,7 @@ from kernelhc import (
 )
 from kernelhc.baseline import _to_dendrogram
 from kernelhc.dendro import contraction_trace, leaf_labels, single_linkage_tree
+from kernelhc.hier import build_tree
 from kernelhc.ikernel import GdkOps
 
 from conftest import (
@@ -92,6 +94,22 @@ class TestStructure:
             if node.points is not None:
                 assert np.array_equal(node.points, other.points)
         assert back.split_records == [] and back.warnings == []  # declared on every tree
+
+    @pytest.mark.parametrize("make", ["build_tree", "ahc_build", "bisect_kmeans", "json round trip"])
+    def test_every_constructor_links_parents(self, make):
+        X = np.vstack([rng_data(11 + j, n=10) + [40.0 * j, 0.0] for j in range(5)])
+        _, ops = fitted_ops(X, psi=16)
+        cores = kpskc(ops, k=5, tau=0.01, rho=0.1)
+        tree = {"build_tree": lambda: build_tree(cores, ops),
+                "ahc_build": lambda: ahc_build(cores, ops),
+                "bisect_kmeans": lambda: bisect_kmeans(X, RunConfig(k=5, restarts=2, seed=3)),
+                "json round trip": lambda: Dendrogram.from_json(random_partition_tree(3, n=12, k=5).to_json()),
+                }[make]()
+        internal = [node for node in tree.nodes.values() if not node.is_leaf]
+        assert len(internal) == tree.k - 1 == 4
+        for node in internal:
+            assert tree.nodes[node.left].parent == tree.nodes[node.right].parent == node.id
+        assert tree.nodes[tree.root].parent is None
 
     def test_malformed_json_rejected(self):
         doc = json.loads(random_partition_tree(3, n=12, k=5).to_json())

@@ -34,7 +34,6 @@ def cores_from_lists(lists, n):
     return CoreClusterSet(
         clusters=[np.asarray(c) for c in lists],
         noise=np.setdiff1d(np.arange(n), np.concatenate(lists)),
-        subset_indices=np.arange(n),
     )
 
 
@@ -317,10 +316,10 @@ class TestRefineTrace:
             res = run(X, cfg)
         trace = res.refine_trace
         assigned, _ = assign_points(res.ops, res.cores)
-        assert trace["tsc_local"][0] == assignment_tsc_local(res.ops, assigned, res.k) == res.tsc_trace[0]
-        assert trace["tsc_local"][-1] == assignment_tsc_local(res.ops, res.assignments, res.k) == res.tsc_trace[1]
-        assert len(trace["tsc_local"]) == res.iterations + 1 == len(trace["moved"]) + 1
-        assert (res.iterations == 0) == (how != "passes")
+        assert trace["tsc_local"][0] == assignment_tsc_local(res.ops, assigned, res.k)
+        assert trace["tsc_local"][-1] == assignment_tsc_local(res.ops, res.assignments, res.k)
+        assert len(trace["tsc_local"]) == len(trace["moved"]) + 1
+        assert (trace["moved"] == []) == (how != "passes")
         assert trace["stop"] == {"refine=False": None, "REFINE_PASSES = 0": "pass cap"}.get(how, "moved < 1% of n")
 
     def test_found_a_pass_can_lower_tsc(self):
@@ -331,7 +330,7 @@ class TestRefineTrace:
         res = run(X, RunConfig(k=4, psi=10, t=50, s=100, seed=2))
         tsc = res.refine_trace["tsc_local"]
         assert res.k == 2 and res.refine_trace["moved"] == [2, 2, 0]
-        assert tsc[2] < tsc[1] < tsc[0] and res.tsc_trace == (tsc[0], tsc[3])
+        assert tsc[2] < tsc[1] < tsc[0] and len(tsc) == 4
 
 
 class TestRun:
@@ -360,7 +359,7 @@ class TestRun:
         r2 = run(X, RunConfig(k=2, psi=4, t=30, s=50, seed=4))
         assert np.array_equal(r1.assignments, r2.assignments)
         assert r1.tree.to_json() == r2.tree.to_json()
-        assert r1.tsc_trace == r2.tsc_trace
+        assert r1.refine_trace == r2.refine_trace
 
     def test_reduced_k_carries_warning(self):
         X, _ = two_blobs(seed=34, n_per=20)
@@ -375,15 +374,15 @@ class TestRun:
         X = datasets.paper_analog().points
         for seed in (1, 2, 3):
             res = run(X, RunConfig(**{**datasets.PAPER_ANALOG_TUNED, "seed": seed}))
-            before, after = res.tsc_trace
-            assert res.iterations >= 1, seed
+            before, after = res.refine_trace["tsc_local"][0], res.refine_trace["tsc_local"][-1]
+            assert res.refine_trace["moved"], seed
             assert after > before, seed
 
     def test_no_refine_path(self):
         X, _ = two_blobs(seed=36, n_per=25)
         res = run(X, RunConfig(k=2, psi=4, t=40, s=50, seed=3, refine=False))
-        assert res.iterations == 0
-        assert res.tsc_trace[0] == res.tsc_trace[1]
+        assert res.refine_trace["moved"] == []
+        assert len(res.refine_trace["tsc_local"]) == 1
 
     def test_gdk_backend_runs(self):
         X, labels = two_blobs(seed=37, n_per=25)
@@ -415,10 +414,9 @@ class TestRun:
         res = run(X, cfg)
         seeds = np.random.default_rng(cfg.seed).integers(2**31 - 1, size=3)
         _, idx = select_subset(X, cfg.s, int(seeds[1]))
-        assert np.array_equal(res.cores.subset_indices, idx)
         assert res.cores.k == 2
-        for j in range(res.cores.k):
-            assert np.isin(res.cores.full_rows(j), idx).all()
+        rows = np.concatenate(res.cores.clusters + [res.cores.noise])  # the subset's rows, each once
+        assert np.array_equal(np.sort(rows), np.sort(idx))
 
     def test_timings_cover_all_stages(self):
         X, _ = two_blobs(seed=40, n_per=20)
@@ -436,6 +434,18 @@ class TestRun:
         for bad in ({"eps_sim": 0.0}, {"eps_sim": -0.1}, {"eps_sim": np.nan}, {"eps_sim": np.inf}, {"min_pts": 0}):
             with pytest.raises(ValueError, match=next(iter(bad))):
                 run(X, RunConfig(k=2, clusterer="ik-dbscan", **bad))
+
+    @pytest.mark.parametrize("name, value", [
+        ("tau", 0.0), ("tau", -0.1), ("tau", np.nan), ("tau", np.inf),
+        ("rho", 0.0), ("rho", 1.0), ("rho", np.nan), ("rho", np.inf),
+        ("bandwidth", 0.0), ("bandwidth", np.nan), ("bandwidth", np.inf),
+        ("restarts", 0), ("restarts", np.nan), ("restarts", np.inf),
+    ])
+    def test_stage_parameters_rejected_before_the_fit(self, name, value):
+        X, _ = two_blobs(seed=41, n_per=10)
+        with mock.patch.object(hier, "fit_isolation_model", side_effect=AssertionError("the kernel was fitted")):
+            with pytest.raises(ValueError, match=name):
+                run(X, RunConfig(k=2, **{name: value}))
 
     def test_property2_proxy_every_nonanchor_with_its_argmax(self):
         rng = np.random.default_rng(42)
